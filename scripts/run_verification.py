@@ -15,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from vwave.verify import run_suite
+from vwave.verify import SUITE_N_MAX, run_suite
 
 
 def run(z: int, n_max: int) -> int:
@@ -36,6 +36,6 @@ def run(z: int, n_max: int) -> int:
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--z", type=int, default=1)
-    ap.add_argument("--n-max", type=int, default=3)
+    ap.add_argument("--n-max", type=int, default=3, choices=range(1, SUITE_N_MAX + 1))
     args = ap.parse_args()
     sys.exit(run(args.z, args.n_max))

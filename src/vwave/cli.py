@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="independent verification battery")
     p.add_argument("--z", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--n-max", type=int, default=None, help="largest n to check (1 to 3)")
     _add_common(p)
 
     p = sub.add_parser("figures", help="R(r/r_o) curve data for n = 1, 2, 3")

@@ -89,6 +89,30 @@ def test_verify_json_schema_and_exit_code(capsys):
     _validator("verify").validate(payload)
 
 
+def test_verify_rejects_unchecked_n_max(capsys):
+    code = main(["verify", "--z", "1", "--n-max", "10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "n_max must be between 1 and 3, got 10" in captured.err
+
+
+def test_nodes_reports_too_coarse_grid(capsys):
+    code = main(["nodes", "--z", "1", "--n", "20"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "(Z=1, n=20)" in captured.err and "samples" in captured.err
+
+
+def test_import_loads_no_scipy():
+    import subprocess
+    import sys
+
+    probe = "import sys, vwave, vwave.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_byte_identical_reruns(capsys):
     _, a = run_cli(capsys, "wave", "--z", "1", "--n", "2", "--samples", "300")
     _, b = run_cli(capsys, "wave", "--z", "1", "--n", "2", "--samples", "300")

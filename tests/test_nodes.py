@@ -88,6 +88,25 @@ def test_too_few_samples_rejected(solutions):
         find_nodes(wave)
 
 
+def test_one_sample_segment_rejected_with_smallest_working_count():
+    from vwave.series import build_series
+    from vwave.wronskian import make_radial_grid, min_samples, sample_wave
+
+    sol = build_series(AtomSpec(1, 20))
+    grid = make_radial_grid(sol, samples=1000)
+    assert min(len(seg) for seg in grid.segments()) == 1
+    wave = sample_wave(sol, grid)
+    need = min_samples(grid.r_max, grid.exclusion_zones)
+    with pytest.raises(ValueError, match=rf"\(Z=1, n=20\).*at least {need} samples"):
+        find_nodes(wave)
+
+    def sizes(samples):
+        return [len(seg) for seg in make_radial_grid(sol, samples=samples).segments()]
+
+    assert 1 in sizes(need - 1)
+    assert all(1 not in sizes(need + k) for k in (0, 1, 7, 500))
+
+
 def test_single_state_nodes_time_invariant(waves, solutions):
     wave = waves[2]
     grid = wave.grid

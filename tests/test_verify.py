@@ -126,6 +126,12 @@ def test_u_minus_crossings_found(solutions):
     assert len(u_minus_crossings(solutions[3])) == 2
 
 
+@pytest.mark.parametrize("n_max", [0, 4, 10])
+def test_run_suite_rejects_n_max_it_does_not_check(n_max):
+    with pytest.raises(ValueError, match=f"between 1 and 3, got {n_max}"):
+        run_suite(1, n_max)
+
+
 def test_run_suite_passes():
     report = run_suite(1, 3)
     assert report["passed"], [c for c in report["checks"] if not c["passed"]]

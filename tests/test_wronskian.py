@@ -38,15 +38,30 @@ def test_sign_change_at_ro(solutions, n):
 
 
 def test_n1_closed_form_value():
-    # n=1: u_+ = e^r (2 - r); at the origin side the construction must agree
-    # with direct adaptive quadrature of 1/u_+^2 from 0.
+    # n=1: u_+ = e^r (2 - r), r_o = 2.  One array call spans r < r_o, where
+    # u_- = u_+ * int_0^r dr'/u_+^2, and r_o < r < r_cut and r > r_cut, where
+    # u_- = u_+ * int_r^inf dr'/u_+^2.  Below r_cut the construction must
+    # agree with direct adaptive quadrature of 1/u_+^2.
     from scipy.integrate import quad
 
     sol = build_series(AtomSpec(1, 1))
-    r = 1.0
-    ref, _ = quad(lambda x: 1.0 / (math.exp(x) * (2.0 - x)) ** 2, 0.0, r)
-    got = u_minus(r, sol)
-    assert got == pytest.approx(u_plus(r, sol) * ref, rel=1e-10)
+    ev = WronskianEvaluator(sol)
+    r_o, r_cut, k_o = sol.state.r_o, ev._r_cut, sol.state.k_o
+    rs = np.array([0.3, 1.0, 1.9, 2.1, 3.0, 6.0, 1.1 * r_cut, 1.5 * r_cut])
+    got = u_minus(rs, sol)
+
+    def inv_sq(x):
+        return math.exp(-2.0 * x) / (2.0 - x) ** 2
+
+    for r, val in zip(rs, got):
+        lo, hi = (0.0, r) if r < r_o else (r, math.inf)
+        ref = u_plus(r, sol) * quad(inv_sq, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        if r < r_cut:
+            assert val == pytest.approx(ref, rel=1e-10)
+        else:
+            # past r_cut the integral is the pure exponential e^{-2 k_o r}/2k_o,
+            # which drops the algebraic factor: off by about 1/(k_o (r - r_o))
+            assert abs(val / ref - 1.0) < 1.0 / (k_o * (r - r_o))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -95,6 +110,76 @@ def test_singular_points_rejected_with_guidance():
         ev.u_minus(-1.0)
     # the suggested radius itself must evaluate
     ev.u_minus(ev.nearest_admissible(6.0))
+
+
+def test_array_with_singular_or_nonpositive_radius_rejected():
+    sol = build_series(AtomSpec(1, 2))
+    ev = WronskianEvaluator(sol)
+    ok = [1.0, 5.0, 9.0]
+    for bad in (sol.state.r_o, 6.0):
+        with pytest.raises(ValueError, match="nearest admissible") as arr_err:
+            u_minus(np.array(ok + [bad]), sol)
+        with pytest.raises(ValueError) as scalar_err:
+            ev.u_minus(bad)
+        assert str(arr_err.value) == str(scalar_err.value)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive") as arr_err:
+            ev.u_minus_many(np.array([bad] + ok))
+        with pytest.raises(ValueError) as scalar_err:
+            ev.u_minus(bad)
+        assert str(arr_err.value) == str(scalar_err.value)
+
+
+def _u_minus_one_radius(ev, r):
+    """Reference: the per-radius evaluation that the batched kernel replaced."""
+    i = int(np.searchsorted(ev._breaks, r, side="right")) - 1
+    i = min(max(i, 0), len(ev._breaks) - 2)
+    a, b = float(ev._breaks[i]), float(ev._breaks[i + 1])
+    left = min(abs(a - z) for z in ev._zeros) >= min(abs(b - z) for z in ev._zeros)
+    part = ev._panel_integral(a, r) if left else ev._panel_integral(r, b)
+    forward = ev._panel_cum[i] + part if left else ev._panel_cum[i + 1] - part
+    backward = ev._panel_cum_back[i] - part if left else part + ev._panel_cum_back[i + 1]
+
+    def singular(lo_end, hi_end):
+        total = 0.0
+        for p in ev._poles:
+            lo, hi = p.z - p.window, p.z + p.window
+            sa = min(max(lo_end, lo), hi) - p.z
+            sb = min(max(hi_end, lo), hi) - p.z
+            if sa != sb:
+                total += (-p.c2 / sb + p.c1 * math.log(abs(sb))) - (
+                    -p.c2 / sa + p.c1 * math.log(abs(sa))
+                )
+        return total
+
+    up = u_plus(r, ev.sol)
+    if r < ev.r_o:
+        return up * (forward + singular(0.0, r))
+    if r >= ev._r_cut:
+        return up * (1.0 / up**2 / (2.0 * ev.k_o))
+    return up * (backward + singular(r, ev._r_cut) + ev._tail)
+
+
+@pytest.mark.parametrize("z,n", [(1, 1), (1, 2), (1, 3), (2, 5)])
+def test_batched_kernel_matches_per_radius_reference(z, n):
+    sol = build_series(AtomSpec(z, n))
+    ev = WronskianEvaluator(sol)
+    rs = np.concatenate(
+        [make_radial_grid(sol, samples=400).samples, [1.2 * ev._r_cut, 0.999 * ev._r_cut]]
+    )
+    ref = np.array([_u_minus_one_radius(ev, float(r)) for r in rs])
+    # same arithmetic up to the log implementation: a few ulps
+    np.testing.assert_allclose(ev.u_minus_many(rs), ref, rtol=1e-14, atol=0.0)
+
+
+def test_array_call_matches_one_point_calls_across_blocks(solutions):
+    # more radii than one evaluation block, in shuffled order
+    sol = solutions[3]
+    rs = np.random.default_rng(3).permutation(make_radial_grid(sol, samples=2500).samples)
+    many = u_minus(rs, sol)
+    assert many.shape == rs.shape
+    for i in (0, 1023, 1024, 2047, len(rs) - 1):
+        assert many[i] == pytest.approx(u_minus(float(rs[i]), sol), rel=1e-15, abs=0.0)
 
 
 def test_radial_grid_validation():
