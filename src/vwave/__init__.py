@@ -5,7 +5,7 @@ Wronskian-constructed decaying partner, classifies wave nodes, and verifies
 everything through independent numerical routes.
 """
 
-from .units import AtomSpec, Constants, StateParams, bohr_ratio, constants, derive_state
+from .units import AtomSpec, StateParams, bohr_ratio, derive_state
 from .free_motion import FreeParams, free_params, node_trajectory, wave_value
 from .series import SeriesSolution, build_series, interior_zeros, quantization_scan, u_plus
 from .wronskian import (
@@ -17,13 +17,12 @@ from .wronskian import (
     u_minus,
     wave_full,
 )
-from .nodes import NodeKind, NodeReport, classify_locus, find_nodes, track_superposition_nodes
+from .nodes import NodeKind, NodeReport, find_nodes, track_superposition_nodes
 from .verify import energy_closed_form, ode_residual, pde_residual_free, shoot_inward
 
 __all__ = [
     "AtomSpec",
     "BoundWave",
-    "Constants",
     "FreeParams",
     "NodeKind",
     "NodeReport",
@@ -32,8 +31,6 @@ __all__ = [
     "StateParams",
     "bohr_ratio",
     "build_series",
-    "classify_locus",
-    "constants",
     "derive_state",
     "energy_closed_form",
     "find_nodes",

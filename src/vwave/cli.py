@@ -16,22 +16,25 @@ import numpy as np
 from . import free_motion, nodes as nodes_mod, verify as verify_mod
 from .output import dumps_json, render_csv
 from .series import build_series
-from .units import AtomSpec, bohr_ratio, constants, derive_state
+from .units import AtomSpec, bohr_ratio, derive_state
 from .wronskian import make_radial_grid, sample_wave
+
+
+# allowed values of the options that take one of a fixed set, for flags and
+# config files alike
+_CHOICES = {"format": ("csv", "json"), "normalize": ("on", "off")}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None, help="key=value config file")
-    p.add_argument("--format", choices=["csv", "json"], default=None)
+    p.add_argument("--format", choices=_CHOICES["format"], default=None)
     p.add_argument("--out", type=Path, default=None, help="output path (default stdout)")
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r-max", type=float, default=None, help="grid extent in units of r_o")
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--exclusion", type=float, default=None,
-                   help="half-width of excluded neighborhoods, in units of r_o")
-    p.add_argument("--normalize", choices=["on", "off"], default=None)
+    p.add_argument("--normalize", choices=_CHOICES["normalize"], default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,7 +98,6 @@ _DEFAULTS = {
     "t": 0.0,
     "r_max": 3.0,
     "samples": 1000,
-    "exclusion": 1e-3,
     "format": "json",
     "normalize": "off",
     "states": "1,2",
@@ -109,12 +111,17 @@ _DEFAULTS = {
 _TYPES = {
     "z": int, "n": int, "n_max": int, "branches": int, "samples": int,
     "t_samples": int, "v": float, "mass": float, "t": float, "r_max": float,
-    "exclusion": float, "t_max": float, "out": Path, "out_dir": Path,
+    "t_max": float, "out": Path, "out_dir": Path,
 }
 
 
 def read_config(path: Path) -> dict:
-    """Parse a UTF-8 key=value file with '#' comments."""
+    """Parse a UTF-8 key=value file with '#' comments.
+
+    Keys are the long flag names of any subcommand (dashes or underscores),
+    so one file can serve every subcommand.  An unknown key, a value outside
+    a flag's choices or of the wrong type raises ValueError naming the key.
+    """
     cfg = {}
     for raw in path.read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -124,7 +131,16 @@ def read_config(path: Path) -> dict:
             raise ValueError(f"malformed config line: {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        cfg[key] = _TYPES.get(key, str)(val)
+        if key not in _DEFAULTS:
+            raise ValueError(f"unknown config key {key!r} in {path}")
+        if key in _CHOICES and val not in _CHOICES[key]:
+            raise ValueError(
+                f"config key {key!r} must be one of {', '.join(_CHOICES[key])}, got {val!r}"
+            )
+        try:
+            cfg[key] = _TYPES.get(key, str)(val)
+        except ValueError:
+            raise ValueError(f"config key {key!r}: invalid value {val!r}") from None
     return cfg
 
 
@@ -207,13 +223,8 @@ def _build_wave(opts: dict, n: int | None = None):
         raise ValueError("r-max must be at least 1.5 (units of r_o)")
     atom = AtomSpec(opts["z"], opts["n"] if n is None else n)
     sol = build_series(atom)
-    grid = make_radial_grid(
-        sol,
-        r_max_factor=opts["r_max"],
-        samples=opts["samples"],
-        exclusion=opts["exclusion"],
-    )
-    return sol, sample_wave(sol, grid)
+    grid = make_radial_grid(sol, r_max_factor=opts["r_max"], samples=opts["samples"])
+    return sample_wave(sol, grid)
 
 
 def _wave_rows(wave, normalize: bool):
@@ -228,7 +239,7 @@ def _wave_rows(wave, normalize: bool):
 
 
 def cmd_wave(opts: dict) -> int:
-    _, wave = _build_wave(opts)
+    wave = _build_wave(opts)
     rows = _wave_rows(wave, opts["normalize"] == "on")
     if opts["format"] == "csv":
         text = render_csv(["r", "r_over_ro", "u_plus", "u_minus", "R"], rows)
@@ -250,7 +261,7 @@ def cmd_wave(opts: dict) -> int:
 
 
 def cmd_nodes(opts: dict) -> int:
-    _, wave = _build_wave(opts)
+    wave = _build_wave(opts)
     report = nodes_mod.find_nodes(wave)
     r_o = wave.state.r_o
     entries = [
@@ -283,10 +294,7 @@ def cmd_nodes(opts: dict) -> int:
 def cmd_superpose(opts: dict) -> int:
     ns = [int(s) for s in str(opts["states"]).split(",")]
     weights = [float(s) for s in str(opts["weights"]).split(",")]
-    waves = []
-    for n in ns:
-        _, wave = _build_wave(opts, n=n)
-        waves.append(wave)
+    waves = [_build_wave(opts, n=n) for n in ns]
     omegas = [w.state.omega for w in waves]
     t_max = opts["t_max"]
     if t_max is None:
@@ -330,7 +338,7 @@ def cmd_figures(opts: dict) -> int:
     out_dir = opts["out_dir"] or Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     for n in (1, 2, 3):
-        _, wave = _build_wave(opts, n=n)
+        wave = _build_wave(opts, n=n)
         scale = float(np.max(np.abs(wave.r_vals)))
         rows = [
             [float(r / wave.state.r_o), float(rv / scale)]

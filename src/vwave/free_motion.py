@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import Constants
-
 
 @dataclass(frozen=True)
 class FreeParams:
@@ -30,22 +28,22 @@ class FreeParams:
     k2: float
 
 
-def free_params(v: float, m: float = 1.0, c: Constants = Constants()) -> FreeParams:
-    """Build the parameter set for velocity v and mass m (atomic units)."""
+def free_params(v: float, m: float = 1.0) -> FreeParams:
+    """Build the parameter set for velocity v and mass m (atomic units, h = 2*pi)."""
     if v == 0.0:
         raise ValueError("zero velocity: wavelength is undefined")
     if m <= 0.0:
         raise ValueError("mass must be positive")
     energy = 0.5 * m * v**2
-    omega = m * v**2 / c.hbar
-    wavelength = c.h / (m * abs(v))
+    omega = m * v**2
+    wavelength = 2.0 * math.pi / (m * abs(v))
     return FreeParams(
         v=v,
         m=m,
         energy=energy,
         omega=omega,
         wavelength=wavelength,
-        amplitude=c.hbar,
+        amplitude=1.0,
         k1=m * v**2,
         k2=m,
     )

@@ -39,7 +39,6 @@ class Node:
 @dataclass(frozen=True)
 class NodeReport:
     nodes: tuple[Node, ...]
-    tol: float
 
     @property
     def radii(self) -> list[float]:
@@ -72,22 +71,19 @@ def _kind(slope_left: float, slope_right: float, discontinuous: bool) -> NodeKin
     return NodeKind.PLAIN_ZERO
 
 
-def find_nodes(wave: BoundWave, tol: float | None = None) -> NodeReport:
+def find_nodes(wave: BoundWave) -> NodeReport:
     """Locate and classify every zero locus of the sampled R(r).
 
     Sign changes inside smooth segments are refined on the interpolant to
     1e-6*r_o.  Sign changes straddling an exclusion zone are reported at the
     zone center; at the r_o zone the stored one-sided limits are used, and a
-    jump between them beyond tolerance is flagged as discontinuous.
-    Sub-tolerance touches (local |R| minima below tol) are reported as well.
+    jump between them beyond 1e-6*max|R| is flagged as discontinuous.
+    Touches (local |R| minima below tol = 1e-9*max|R|) are reported as well.
     """
     if len(wave.grid.samples) < 200:
         raise ValueError("wave must be sampled on at least 200 points")
     scale = float(np.max(np.abs(wave.r_vals)))
-    if tol is None:
-        tol = 1e-9 * scale
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = 1e-9 * scale
     r_o = wave.state.r_o
     loc_tol = 1e-6 * r_o
     jump_tol = 1e-6 * scale
@@ -147,7 +143,7 @@ def find_nodes(wave: BoundWave, tol: float | None = None) -> NodeReport:
         nodes.append(Node(center, _kind(sl, sr, disc), _sgn(sl), _sgn(sr), vl, vr, disc))
 
     nodes.sort(key=lambda n: n.radius)
-    return NodeReport(nodes=tuple(nodes), tol=tol)
+    return NodeReport(nodes=tuple(nodes))
 
 
 def _gap_slope(wave: BoundWave, idx: int, side: int) -> float:
@@ -156,16 +152,6 @@ def _gap_slope(wave: BoundWave, idx: int, side: int) -> float:
     if side < 0:
         return float((v[idx] - v[idx - 1]) / (r[idx] - r[idx - 1]))
     return float((v[idx + 1] - v[idx]) / (r[idx + 1] - r[idx]))
-
-
-def classify_locus(wave: BoundWave, r_star: float, tol: float | None = None) -> NodeKind | None:
-    """Kind of the node at r_star, or None when no node is present there."""
-    report = find_nodes(wave, tol=tol)
-    spacing = float(np.median(np.diff(wave.grid.samples)))
-    near = [n for n in report.nodes if abs(n.radius - r_star) < 3.0 * spacing]
-    if not near:
-        return None
-    return min(near, key=lambda n: abs(n.radius - r_star)).kind
 
 
 @dataclass(frozen=True)
@@ -214,12 +200,11 @@ def track_superposition_nodes(
     weights: list[float],
     times: list[float],
     radial_grid: RadialGrid,
-    jump_factor: float = 0.1,
 ) -> SuperpositionNodeTracks:
     """Nodes of the superposed wave at each time, linked into trajectories.
 
     Adjacent-time nodes are associated by nearest radius; a jump beyond
-    jump_factor*r_o (smallest r_o among the states) starts a new track.
+    0.1*r_o (smallest r_o among the states) starts a new track.
     A slice whose wave is uniformly below 1e-9 of the global amplitude is
     reported degenerate and contributes no nodes.
     """
@@ -230,7 +215,7 @@ def track_superposition_nodes(
     if len({w.atom.z for w in waves}) > 1:
         raise ValueError("waves mix nuclear charges")
     r_o_ref = min(w.state.r_o for w in waves)
-    jump = jump_factor * r_o_ref
+    jump = 0.1 * r_o_ref
     rs = radial_grid.samples
     profiles = [np.array([w.r_of(float(r)) for r in rs]) for w in waves]
 

@@ -17,17 +17,17 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def dumps_json(obj: Any, indent: int = 2) -> str:
-    """Serialize to JSON with sorted keys and fixed float formatting."""
+def dumps_json(obj: Any) -> str:
+    """Serialize to JSON with sorted keys, two-space indent and fixed float formatting."""
     out: list[str] = []
-    _encode(obj, out, indent, 0)
+    _encode(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _encode(obj: Any, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _encode(obj: Any, out: list[str], level: int) -> None:
+    pad = "  " * (level + 1)
+    close_pad = "  " * level
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -48,7 +48,7 @@ def _encode(obj: Any, out: list[str], indent: int, level: int) -> None:
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
             out.append(pad + _escape(k) + ": ")
-            _encode(obj[k], out, indent, level + 1)
+            _encode(obj[k], out, level + 1)
             out.append(",\n" if i < len(keys) - 1 else "\n")
         out.append(close_pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -58,7 +58,7 @@ def _encode(obj: Any, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, item in enumerate(obj):
             out.append(pad)
-            _encode(item, out, indent, level + 1)
+            _encode(item, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(close_pad + "]")
     else:

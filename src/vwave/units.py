@@ -1,65 +1,13 @@
-"""Unit system and bound-state parameter derivation for hydrogen-like atoms.
+"""Bound-state parameter derivation for hydrogen-like atoms.
 
-All internal math is done in atomic units (hbar = m_e = e = 1); the
-``si_report`` mode only attaches CODATA conversion factors for display.
+Everything is in atomic units (hbar = m_e = e = 1): energies in hartree,
+lengths in bohr.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-
-# CODATA 2018 factors, display-only.
-HARTREE_TO_EV = 27.211386245988
-BOHR_TO_M = 5.29177210903e-11
-HARTREE_TO_J = 4.3597447222071e-18
-ATOMIC_TIME_TO_S = 2.4188843265857e-17
-
-
-class UnitSystem(str, Enum):
-    ATOMIC = "atomic"
-    SI_REPORT = "si_report"
-
-
-@dataclass(frozen=True)
-class ReportFactors:
-    """Multiplicative factors for converting atomic-unit results on output."""
-
-    hartree_to_ev: float = HARTREE_TO_EV
-    bohr_to_m: float = BOHR_TO_M
-    hartree_to_j: float = HARTREE_TO_J
-    time_to_s: float = ATOMIC_TIME_TO_S
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Physical constants used by the solver.
-
-    In atomic-units mode hbar, m_e and e_charge are exactly 1; ``report``
-    carries optional SI display factors and never enters any computation.
-    """
-
-    hbar: float = 1.0
-    m_e: float = 1.0
-    e_charge: float = 1.0
-    report: ReportFactors | None = None
-
-    def __post_init__(self):
-        if self.hbar <= 0 or self.m_e <= 0 or self.e_charge <= 0:
-            raise ValueError("constants must be strictly positive")
-
-    @property
-    def h(self) -> float:
-        return 2.0 * math.pi * self.hbar
-
-
-def constants(unit_system: UnitSystem | str = UnitSystem.ATOMIC) -> Constants:
-    """Return the constants set for the requested unit system."""
-    unit_system = UnitSystem(unit_system)
-    if unit_system is UnitSystem.ATOMIC:
-        return Constants()
-    return Constants(report=ReportFactors())
 
 
 @dataclass(frozen=True)
@@ -81,7 +29,7 @@ class StateParams:
     """All scalar parameters of a spherically symmetric bound state.
 
     energy is in hartree (negative), r_o in bohr.  omega uses |E|, so
-    omega = 2|E|/hbar; only omega**2 is ever consumed downstream.
+    omega = 2|E|; only omega**2 is ever consumed downstream.
     """
 
     energy: float
@@ -93,16 +41,15 @@ class StateParams:
     beta1: float
 
 
-def derive_state(atom: AtomSpec, c: Constants = Constants()) -> StateParams:
+def derive_state(atom: AtomSpec) -> StateParams:
     """Derive the full parameter set of state (Z, n)."""
     z, n = atom.z, atom.n
-    e2 = c.e_charge**2
-    energy = -(z**2 * e2**2 * c.m_e) / (2.0 * c.hbar**2 * n**2)
-    r_o = 2.0 * c.hbar**2 * n**2 / (z * e2 * c.m_e)
-    omega = 2.0 * abs(energy) / c.hbar
-    beta0_sq = -2.0 * energy / c.m_e
-    alpha = 2.0 * z * e2 / c.m_e
-    k_o = math.sqrt(-2.0 * energy * c.m_e) / c.hbar
+    energy = -(z**2) / (2.0 * n**2)
+    r_o = 2.0 * n**2 / z
+    omega = 2.0 * abs(energy)
+    beta0_sq = -2.0 * energy
+    alpha = 2.0 * z
+    k_o = math.sqrt(-2.0 * energy)
     beta1 = k_o**2 * alpha / beta0_sq
     return StateParams(
         energy=energy,
@@ -115,11 +62,10 @@ def derive_state(atom: AtomSpec, c: Constants = Constants()) -> StateParams:
     )
 
 
-def bohr_ratio(state: StateParams, atom: AtomSpec, c: Constants = Constants()) -> float:
+def bohr_ratio(state: StateParams, atom: AtomSpec) -> float:
     """Ratio of the trajectory-surface radius to the textbook Bohr radius.
 
-    The Bohr radius of state (Z, n) is n^2 hbar^2 / (Z e^2 m_e); the surface
-    radius comes out at exactly twice that value for every Z and n.
+    The Bohr radius of state (Z, n) is n^2/Z; the surface radius comes out at
+    exactly twice that value for every Z and n.
     """
-    bohr = atom.n**2 * c.hbar**2 / (atom.z * c.e_charge**2 * c.m_e)
-    return state.r_o / bohr
+    return state.r_o / (atom.n**2 / atom.z)

@@ -13,8 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import AtomSpec, Constants, StateParams, derive_state
-from .wronskian import RadialGrid
+from .free_motion import free_params
+from .nodes import NodeKind, find_nodes
+from .series import build_series, interior_zeros, quantization_scan, termination_ratio, u_plus
+from .units import AtomSpec, StateParams, derive_state
+from .wronskian import RadialGrid, make_radial_grid, sample_wave, u_minus
 
 
 @dataclass(frozen=True)
@@ -72,26 +75,19 @@ def ode_residual(u_sampler, state: StateParams, grid: RadialGrid) -> ResidualRep
     )
 
 
-def make_residual_grid(
-    state: StateParams,
-    zero_loci: list[float],
-    points_per_unit_ro: int = 4000,
-    inner_factor: float = 0.05,
-    outer_factor: float = 3.0,
-    ro_exclusion: float = 0.05,
-    zero_exclusion: float = 0.05,
-) -> RadialGrid:
-    """Uniform-per-segment grid on [inner*r_o, outer*r_o] minus singular zones.
+def make_residual_grid(state: StateParams, zero_loci: list[float]) -> RadialGrid:
+    """Uniform-per-segment grid on [0.05*r_o, 3*r_o] minus singular zones.
 
     ``zero_loci`` are radii where the sampled solution vanishes (interior
     zeros of u_+ and, for the decaying branch, its own crossings): the
     pointwise residual normalization is ill-conditioned at any zero of the
-    solution, so each locus gets an exclusion neighborhood.  Overlapping
-    zones are merged.
+    solution, so r_o and each locus get a neighborhood of half-width
+    0.05*r_o.  Overlapping zones are merged.  Each segment holds 4000 points
+    per r_o, and at least 50.
     """
     r_o = state.r_o
-    zones = [(r_o * (1 - ro_exclusion), r_o * (1 + ro_exclusion))]
-    zones += [(z - zero_exclusion * r_o, z + zero_exclusion * r_o) for z in zero_loci]
+    zones = [(r_o * (1 - 0.05), r_o * (1 + 0.05))]
+    zones += [(z - 0.05 * r_o, z + 0.05 * r_o) for z in zero_loci]
     zones.sort()
     merged = [list(zones[0])]
     for lo, hi in zones[1:]:
@@ -100,16 +96,16 @@ def make_residual_grid(
         else:
             merged.append([lo, hi])
     zones = [(lo, hi) for lo, hi in merged]
-    edges = [inner_factor * r_o]
+    edges = [0.05 * r_o]
     for lo, hi in zones:
         edges += [lo, hi]
-    edges.append(outer_factor * r_o)
+    edges.append(3.0 * r_o)
     samples = []
     for a, b in zip(edges[::2], edges[1::2]):
-        k = max(50, int(round((b - a) / r_o * points_per_unit_ro)))
+        k = max(50, int(round((b - a) / r_o * 4000)))
         samples.append(np.linspace(a, b, k))
     arr = np.unique(np.concatenate(samples))
-    return RadialGrid(samples=arr, exclusion_zones=tuple(zones), r_max=outer_factor * r_o)
+    return RadialGrid(samples=arr, exclusion_zones=tuple(zones), r_max=3.0 * r_o)
 
 
 @dataclass(frozen=True)
@@ -125,8 +121,7 @@ class SpaceTimeGrid:
 
 
 def pde_residual_free(v: float, grid: SpaceTimeGrid, amplitude: float | None = None,
-                      omega: float | None = None, operator_speed: float | None = None,
-                      mass: float = 1.0) -> ResidualReport:
+                      operator_speed: float | None = None) -> ResidualReport:
     """FD residual of d2V/dt2 - v^2 d2V/dx2 on the analytic travelling wave.
 
     ``operator_speed`` lets the caller deliberately mismatch the operator to
@@ -134,11 +129,9 @@ def pde_residual_free(v: float, grid: SpaceTimeGrid, amplitude: float | None = N
     against a 2x-coarsened grid: halving the spacings instead would push the
     second differences toward their rounding floor.
     """
-    from .free_motion import free_params, wave_value
-
-    p = free_params(v, m=mass)
+    p = free_params(v)
     a = p.amplitude if amplitude is None else amplitude
-    w = p.omega if omega is None else omega
+    w = p.omega
     v_op = v if operator_speed is None else operator_speed
 
     def residual(dx: float, dt: float) -> float:
@@ -175,28 +168,21 @@ class ShootingProfile:
         return np.asarray(self._dense(np.asarray(r, dtype=float)))[0]
 
 
-def shoot_inward(
-    energy: float,
-    z: int,
-    r_start: float,
-    r_stop: float,
-    c: Constants = Constants(),
-    rtol: float = 1e-10,
-) -> ShootingProfile:
+def shoot_inward(energy: float, z: int, r_start: float, r_stop: float) -> ShootingProfile:
     """Integrate the radial ODE inward from the exponential asymptote.
 
     Starts at (u, u') = (exp(-k_o*r_start), -k_o*exp(-k_o*r_start)); inward
-    integration keeps the growing branch suppressed.  Stays strictly right of
-    the coefficient pole at r_o(E).
+    integration (RK45, rtol 1e-10) keeps the growing branch suppressed.  Stays
+    strictly right of the coefficient pole at r_o(E).
     """
     # imported here so that importing vwave loads no scipy
     from scipy.integrate import solve_ivp
 
     if energy >= 0.0:
         raise ValueError("energy must be negative")
-    k_o = math.sqrt(-2.0 * energy * c.m_e) / c.hbar
-    alpha = 2.0 * z * c.e_charge**2 / c.m_e
-    beta0_sq = -2.0 * energy / c.m_e
+    k_o = math.sqrt(-2.0 * energy)
+    alpha = 2.0 * z
+    beta0_sq = -2.0 * energy
     r_pole = alpha / beta0_sq
     if r_start < 3.0 * r_pole:
         raise ValueError(f"r_start must be >= 3*r_o(E) = {3.0 * r_pole}")
@@ -213,8 +199,8 @@ def shoot_inward(
         (r_start, r_stop),
         [u0, -k_o * u0],
         method="RK45",
-        rtol=rtol,
-        atol=rtol * u0 * 1e-3,
+        rtol=1e-10,
+        atol=1e-10 * u0 * 1e-3,
         dense_output=True,
     )
     if not sol.success:
@@ -223,29 +209,22 @@ def shoot_inward(
     return ShootingProfile(r=r, u=sol.y[0][::-1].copy(), _dense=sol.sol)
 
 
-def energy_closed_form(atom: AtomSpec, c: Constants = Constants()) -> float:
-    """Closed-form spectrum E_n = -Z^2 e^4 m / (2 hbar^2 n^2)."""
-    return -(atom.z**2 * c.e_charge**4 * c.m_e) / (2.0 * c.hbar**2 * atom.n**2)
+def energy_closed_form(atom: AtomSpec) -> float:
+    """Closed-form spectrum E_n = -Z^2 / (2 n^2) hartree."""
+    return -(atom.z**2) / (2.0 * atom.n**2)
 
 
-def shooting_deviation(
-    sol,
-    wave,
-    lo_factor: float = 1.2,
-    hi_factor: float = 3.0,
-    start_factor: float = 8.0,
-    c: Constants = Constants(),
-) -> float:
+def shooting_deviation(sol, wave) -> float:
     """Max relative deviation between shooting and Wronskian profiles.
 
-    Shoots inward from start_factor*r_o (far enough that the pure-exponential
-    start lies on the decaying branch to well below 1e-4), normalizes both
-    profiles at 2*r_o, and compares on [lo_factor*r_o, hi_factor*r_o].
+    Shoots inward from 8*r_o (far enough that the pure-exponential start lies
+    on the decaying branch to well below 1e-4), normalizes both profiles at
+    2*r_o, and compares on [1.2*r_o, 3*r_o].
     """
     st = sol.state
     r_o = st.r_o
-    prof = shoot_inward(st.energy, sol.atom.z, start_factor * r_o, lo_factor * r_o * 0.99, c)
-    mask = (wave.grid.samples >= lo_factor * r_o) & (wave.grid.samples <= hi_factor * r_o)
+    prof = shoot_inward(st.energy, sol.atom.z, 8.0 * r_o, 1.2 * r_o * 0.99)
+    mask = (wave.grid.samples >= 1.2 * r_o) & (wave.grid.samples <= 3.0 * r_o)
     rs = wave.grid.samples[mask]
     shot = prof.evaluate(rs)
     ref_idx = int(np.argmin(np.abs(rs - 2.0 * r_o)))
@@ -260,7 +239,7 @@ def shooting_deviation(
 SUITE_N_MAX = 3
 
 
-def run_suite(z: int = 1, n_max: int = 3, c: Constants = Constants()) -> dict:
+def run_suite(z: int = 1, n_max: int = 3) -> dict:
     """Run the standard verification battery; returns a JSON-ready report.
 
     Every n in 1..n_max is checked; n_max above SUITE_N_MAX is rejected
@@ -271,12 +250,6 @@ def run_suite(z: int = 1, n_max: int = 3, c: Constants = Constants()) -> dict:
             f"n_max must be between 1 and {SUITE_N_MAX}, got {n_max}: above n = "
             f"{SUITE_N_MAX} the battery's own thresholds fail on honest numbers"
         )
-    from .nodes import NodeKind, find_nodes
-    from .series import build_series, termination_ratio
-    from .series import u_plus as u_plus_fn
-    from .wronskian import make_radial_grid, sample_wave, u_minus as u_minus_fn
-    from .series import interior_zeros
-
     checks = []
 
     def record(name, value, threshold, ok=None):
@@ -285,18 +258,18 @@ def run_suite(z: int = 1, n_max: int = 3, c: Constants = Constants()) -> dict:
             {"name": name, "passed": passed, "value": value, "threshold": threshold}
         )
 
-    record("energy_route_agreement", route_agreement(z, n_max, c), 1e-9)
-    worst_term = max(termination_ratio(AtomSpec(z, n), c) for n in range(1, n_max + 1))
+    record("energy_route_agreement", route_agreement(z, n_max), 1e-9)
+    worst_term = max(termination_ratio(AtomSpec(z, n)) for n in range(1, n_max + 1))
     record("series_termination", worst_term, 1e-14)
 
     for n in range(1, n_max + 1):
         atom = AtomSpec(z, n)
-        sol = build_series(atom, c)
+        sol = build_series(atom)
         loci = interior_zeros(sol) + u_minus_crossings(sol)
         rgrid = make_residual_grid(sol.state, loci)
-        rep = ode_residual(lambda r: u_plus_fn(r, sol), sol.state, rgrid)
+        rep = ode_residual(lambda r: u_plus(r, sol), sol.state, rgrid)
         record(f"u_plus_residual_n{n}", rep.max_rel_residual, 1e-6)
-        rep_m = ode_residual(lambda r: u_minus_fn(r, sol), sol.state, rgrid)
+        rep_m = ode_residual(lambda r: u_minus(r, sol), sol.state, rgrid)
         record(f"u_minus_residual_n{n}", rep_m.max_rel_residual, 1e-4)
 
         wave = sample_wave(sol, make_radial_grid(sol))
@@ -306,7 +279,7 @@ def run_suite(z: int = 1, n_max: int = 3, c: Constants = Constants()) -> dict:
             0.5,
             ok=wave.left_limit_at_ro * wave.right_limit_at_ro < 0.0,
         )
-        record(f"shooting_vs_wronskian_n{n}", shooting_deviation(sol, wave, c=c), 1e-4)
+        record(f"shooting_vs_wronskian_n{n}", shooting_deviation(sol, wave), 1e-4)
         report = find_nodes(wave)
         surfaces = [nd for nd in report.nodes if nd.kind is NodeKind.TRAJECTORY_SURFACE]
         located = (
@@ -323,25 +296,21 @@ def run_suite(z: int = 1, n_max: int = 3, c: Constants = Constants()) -> dict:
     }
 
 
-def u_minus_crossings(
-    sol, inner_factor: float = 0.05, outer_factor: float = 3.0, scan_points: int = 3000
-) -> list[float]:
+def u_minus_crossings(sol) -> list[float]:
     """Approximate radii where the decaying branch itself crosses zero.
 
-    These are distinct from the zeros of u_+; the residual grid must exclude
-    them because the pointwise residual scale vanishes there.
+    Scans 3000 uniform radii on [0.05*r_o, 3*r_o].  These are distinct from
+    the zeros of u_+; the residual grid must exclude them because the
+    pointwise residual scale vanishes there.
     """
-    from .series import interior_zeros
-    from .wronskian import u_minus as u_minus_fn
-
     st = sol.state
-    rs = np.linspace(inner_factor * st.r_o, outer_factor * st.r_o, scan_points)
+    rs = np.linspace(0.05 * st.r_o, 3.0 * st.r_o, 3000)
     keep = np.ones(len(rs), dtype=bool)
     for zz in interior_zeros(sol) + [st.r_o]:
         keep &= np.abs(rs - zz) > 1e-3 * st.r_o
     rs = rs[keep]
-    vals = np.asarray(u_minus_fn(rs, sol))
-    step = (outer_factor - inner_factor) * st.r_o / scan_points
+    vals = np.asarray(u_minus(rs, sol))
+    step = (3.0 - 0.05) * st.r_o / 3000
     out = []
     for i in range(len(rs) - 1):
         # skip sign flips across the excluded singular gaps
@@ -350,19 +319,17 @@ def u_minus_crossings(
     return out
 
 
-def route_agreement(z: int, n_max: int, c: Constants = Constants()) -> float:
+def route_agreement(z: int, n_max: int) -> float:
     """Max pairwise relative spread between the three energy routes."""
-    from .series import quantization_scan
-
-    e_lo = 1.25 * energy_closed_form(AtomSpec(z, 1), c)
-    e_hi = 0.5 * energy_closed_form(AtomSpec(z, n_max + 1), c)
-    scan = dict(quantization_scan(z, e_lo, e_hi, c))
+    e_lo = 1.25 * energy_closed_form(AtomSpec(z, 1))
+    e_hi = 0.5 * energy_closed_form(AtomSpec(z, n_max + 1))
+    scan = dict(quantization_scan(z, e_lo, e_hi))
     worst = 0.0
     for n in range(1, n_max + 1):
         atom = AtomSpec(z, n)
         routes = [
-            energy_closed_form(atom, c),
-            derive_state(atom, c).energy,
+            energy_closed_form(atom),
+            derive_state(atom).energy,
             scan[n],
         ]
         spread = (max(routes) - min(routes)) / abs(routes[0])

@@ -76,20 +76,23 @@ def min_samples(r_max: float, zones: tuple[tuple[float, float], ...]) -> int:
     return int(n[single][-1, 0]) + 1 if single.any() else 2
 
 
-def make_radial_grid(
-    sol: SeriesSolution,
-    r_max_factor: float = 3.0,
-    samples: int = 1000,
-    exclusion: float = 1e-3,
-) -> RadialGrid:
-    """Uniform grid on (0, r_max_factor*r_o] minus exclusion neighborhoods.
+# half-width, in units of r_o, of the neighborhood a sampled grid leaves out
+# around r_o and around every interior zero of u_+.  Wider neighborhoods hide
+# the structure find_nodes classifies: at 1e-2 it misclassifies nodes from
+# n = 4 on, at 0.1 from n = 2.
+EXCLUSION = 1e-3
 
-    ``exclusion`` is the half-width in units of r_o applied around r_o and
-    around every interior zero of u_+.
+
+def make_radial_grid(
+    sol: SeriesSolution, r_max_factor: float = 3.0, samples: int = 1000
+) -> RadialGrid:
+    """Uniform grid on (0, r_max_factor*r_o] minus EXCLUSION*r_o neighborhoods.
+
+    The neighborhoods are centred on r_o and on every interior zero of u_+.
     """
     r_o = sol.state.r_o
     r_max = r_max_factor * r_o
-    half = exclusion * r_o
+    half = EXCLUSION * r_o
     zones = tuple(
         (z - half, z + half) for z in sorted(interior_zeros(sol) + [r_o])
     )
@@ -284,8 +287,9 @@ class WronskianEvaluator:
 
     # -- public surface ------------------------------------------------------
 
-    def nearest_admissible(self, r: float, margin: float = 1e-9) -> float:
-        eps = margin * self.r_o
+    def nearest_admissible(self, r: float) -> float:
+        """r itself, or a radius just outside r's 1e-9*r_o neighborhood of a zero of u_+."""
+        eps = 1e-9 * self.r_o
         for z in self._zeros:
             if abs(r - z) < eps:
                 # 2*eps so rounding in z + offset cannot land back inside the
@@ -326,15 +330,15 @@ class WronskianEvaluator:
         """The decaying branch at a single admissible radius."""
         return float(self.u_minus_many(r))
 
-    def limits_at_ro(self, eps_factor: float = 1e-4) -> tuple[float, float]:
+    def limits_at_ro(self) -> tuple[float, float]:
         """One-sided limits of u_- at r_o by s*log(s)-model extrapolation.
 
         Near r_o: u_-(r_o + s) = L + a*s*ln|s| + b*s + O(s^2 ln s), fitted
-        through three offsets per side.  The neglected s^2*ln(s) terms grow
-        with n: against the exact limits -/+1/u_+'(r_o) the fit is off by
-        about 1.3e-4 relative at n=5 and 1.7e-3 at n=10.
+        through |s| = (1, 0.5, 0.25)*1e-4*r_o on each side.  The neglected
+        s^2*ln(s) terms grow with n: against the exact limits -/+1/u_+'(r_o)
+        the fit is off by about 1.3e-4 relative at n=5 and 1.7e-3 at n=10.
         """
-        ss = np.array([1.0, 0.5, 0.25]) * eps_factor * self.r_o
+        ss = np.array([1.0, 0.5, 0.25]) * 1e-4 * self.r_o
         vals = self.u_minus_many(self.r_o + np.concatenate([-ss, ss]))
 
         def extrapolate(s: np.ndarray, v: np.ndarray) -> float:
@@ -345,13 +349,13 @@ class WronskianEvaluator:
 
 
 @lru_cache(maxsize=32)
-def _evaluator(sol: SeriesSolution, quad_order: int) -> WronskianEvaluator:
-    return WronskianEvaluator(sol, quad_order=quad_order)
+def _evaluator(sol: SeriesSolution) -> WronskianEvaluator:
+    return WronskianEvaluator(sol)
 
 
-def u_minus(r, sol: SeriesSolution, quad_order: int = 32):
-    """Decaying branch u_- at r (scalar or array)."""
-    out = _evaluator(sol, quad_order).u_minus_many(r)
+def u_minus(r, sol: SeriesSolution):
+    """Decaying branch u_- at r (scalar or array), with 32-point panels."""
+    out = _evaluator(sol).u_minus_many(r)
     return out if out.ndim else float(out)
 
 
@@ -379,8 +383,7 @@ class BoundWave:
                     f"state (Z={self.atom.z}, n={self.atom.n}): the grid keeps a single "
                     f"sample at r={lone[0]} between two exclusion zones, too few to "
                     f"interpolate; use at least "
-                    f"{min_samples(self.grid.r_max, self.grid.exclusion_zones)} samples "
-                    f"or a narrower exclusion"
+                    f"{min_samples(self.grid.r_max, self.grid.exclusion_zones)} samples"
                 )
             start = 0
             for seg in segs:
@@ -396,9 +399,9 @@ class BoundWave:
         raise ValueError(f"r={r} outside the sampled domain or inside an exclusion zone")
 
 
-def sample_wave(sol: SeriesSolution, grid: RadialGrid, quad_order: int = 32) -> BoundWave:
+def sample_wave(sol: SeriesSolution, grid: RadialGrid) -> BoundWave:
     """Sample u_-, u_+ and R = u_-/r on a grid respecting exclusion zones."""
-    ev = _evaluator(sol, quad_order)
+    ev = _evaluator(sol)
     um = ev.u_minus_many(grid.samples)
     up = np.asarray(_u_plus_series(grid.samples, sol))
     left, right = ev.limits_at_ro()
@@ -429,15 +432,15 @@ def superpose(waves: list[BoundWave], weights: list[float], r: float, t: float) 
     return sum(c * wave_full(r, t, w) for c, w in zip(weights, waves))
 
 
-def tail_decay_rate(wave: BoundWave, lo_factor: float = 1.5, hi_factor: float = 3.0) -> float:
-    """Least-squares slope of log|u_-| over [lo_factor*r_o, hi_factor*r_o].
+def tail_decay_rate(wave: BoundWave) -> float:
+    """Least-squares slope of log|u_-| over [1.5*r_o, 3*r_o].
 
     Note: the decaying branch carries an exact algebraic factor
     (r - r_o)^(-n) on top of exp(-k_o*r), so on this near-field window the
     fitted slope is systematically steeper than -k_o.
     """
     r_o = wave.state.r_o
-    mask = (wave.grid.samples >= lo_factor * r_o) & (wave.grid.samples <= hi_factor * r_o)
+    mask = (wave.grid.samples >= 1.5 * r_o) & (wave.grid.samples <= 3.0 * r_o)
     r = wave.grid.samples[mask]
     y = np.log(np.abs(wave.u_minus[mask]))
     slope = np.polyfit(r, y, 1)[0]

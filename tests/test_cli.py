@@ -2,6 +2,7 @@
 
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -157,6 +158,64 @@ def test_malformed_config_rejected(tmp_path, capsys):
     cfg.write_text("this is not a key value line\n")
     code, _ = run_cli(capsys, "state", "--config", str(cfg))
     assert code == 2
+
+
+def test_config_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("z = 1\nsmaples = 5000\n")
+    code = main(["wave", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'smaples'" in captured.err
+
+
+@pytest.mark.parametrize("line", ["format = xml", "normalize = yes", "samples = many"])
+def test_config_rejects_bad_value(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code = main(["wave", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert repr(line.split(" = ")[0]) in captured.err
+
+
+def test_config_keys_of_other_subcommands_allowed(tmp_path, capsys):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("z = 2\nn = 1\nsamples = 500\nt-samples = 4\nn_max = 1\nv = 2.0\n")
+    code, out = run_cli(capsys, "state", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["energy_hartree"] == -2.0
+
+
+def test_exclusion_is_not_an_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["nodes", "--z", "1", "--n", "2", "--exclusion", "0.1"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("exclusion = 1e-3\n")
+    code = main(["nodes", "--config", str(cfg)])
+    assert code == 2
+    assert "'exclusion'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["state", "--z", "3", "--n", "7"], "state_z3_n7.json"),
+        (["state", "--z", "3", "--n", "7", "--format", "csv"], "state_z3_n7.csv"),
+        (["free", "--v", "1.3", "--mass", "2", "--branches", "4"],
+         "free_v1.3_mass2_branches4.json"),
+    ],
+)
+def test_golden_outputs(capsys, argv, golden):
+    # exact stdout of the closed-form formulas; plain float arithmetic, so
+    # the bytes are the same on every platform
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    expected = (Path(__file__).parent / "golden" / golden).read_text(encoding="utf-8")
+    assert out == expected
 
 
 def test_read_config_types(tmp_path):

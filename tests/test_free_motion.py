@@ -15,7 +15,6 @@ from vwave.free_motion import (
     time_derivative,
     wave_value,
 )
-from vwave.units import Constants
 
 
 def test_basic_parameters_v1_m1():
@@ -44,8 +43,7 @@ def test_nonpositive_mass_rejected():
 )
 def test_de_broglie_relation(v, m):
     p = free_params(v, m)
-    c = Constants()
-    assert p.wavelength * m * v == pytest.approx(c.h, rel=1e-12)
+    assert p.wavelength * m * v == pytest.approx(2.0 * math.pi, rel=1e-12)
 
 
 @given(

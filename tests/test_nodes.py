@@ -7,7 +7,6 @@ import pytest
 
 from vwave.nodes import (
     NodeKind,
-    classify_locus,
     common_tracking_grid,
     find_nodes,
     track_superposition_nodes,
@@ -67,15 +66,6 @@ def test_detection_invariant_under_rescaling(waves):
     b = find_nodes(scaled)
     assert a.radii == pytest.approx(b.radii, abs=1e-12)
     assert [nd.kind for nd in a.nodes] == [nd.kind for nd in b.nodes]
-
-
-def test_classify_locus(waves):
-    wave = waves[2]
-    assert classify_locus(wave, wave.state.r_o) is NodeKind.TRAJECTORY_SURFACE
-    report = find_nodes(wave)
-    plain_r = next(nd.radius for nd in report.nodes if nd.kind is NodeKind.PLAIN_ZERO)
-    assert classify_locus(wave, plain_r) is NodeKind.PLAIN_ZERO
-    assert classify_locus(wave, 0.35 * wave.state.r_o) is None
 
 
 def test_too_few_samples_rejected(solutions):

@@ -1,41 +1,9 @@
-"""Constants, state derivation and the closed-form spectrum."""
-
-import math
+"""State derivation and the closed-form spectrum."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from vwave.units import (
-    AtomSpec,
-    Constants,
-    UnitSystem,
-    bohr_ratio,
-    constants,
-    derive_state,
-)
-
-
-def test_atomic_constants_are_unity():
-    c = Constants()
-    assert c.hbar == 1.0
-    assert c.m_e == 1.0
-    assert c.e_charge == 1.0
-    assert c.h == 2.0 * math.pi
-
-
-def test_si_report_mode_attaches_factors_without_changing_math():
-    c = constants(UnitSystem.SI_REPORT)
-    assert c.report is not None
-    assert c.report.hartree_to_ev == pytest.approx(27.211386245988)
-    # computation identical to plain atomic mode
-    assert derive_state(AtomSpec(1, 1), c) == derive_state(AtomSpec(1, 1))
-
-
-def test_constants_reject_nonpositive():
-    with pytest.raises(ValueError):
-        Constants(hbar=0.0)
-    with pytest.raises(ValueError):
-        Constants(m_e=-1.0)
+from vwave.units import AtomSpec, bohr_ratio, derive_state
 
 
 @pytest.mark.parametrize("z", [1, 2, 3])

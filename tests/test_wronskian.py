@@ -83,8 +83,8 @@ def test_quadrature_convergence(solutions, n):
     sol = solutions[n]
     r_o = sol.state.r_o
     rs = np.array([0.4, 0.9, 1.3, 2.0, 2.9]) * r_o
-    coarse = u_minus(rs, sol, quad_order=32)
-    fine = u_minus(rs, sol, quad_order=64)
+    coarse = u_minus(rs, sol)
+    fine = WronskianEvaluator(sol, quad_order=64).u_minus_many(rs)
     assert np.max(np.abs(fine / coarse - 1.0)) < 1e-6
 
 
@@ -197,7 +197,7 @@ def test_radial_grid_validation():
 
 def test_make_radial_grid_respects_zones():
     sol = build_series(AtomSpec(1, 2))
-    grid = make_radial_grid(sol, exclusion=1e-2)
+    grid = make_radial_grid(sol)
     for lo, hi in grid.exclusion_zones:
         assert not np.any((grid.samples > lo) & (grid.samples < hi))
     # zones cover r_o and the interior zero at 6
