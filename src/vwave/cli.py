@@ -8,8 +8,10 @@ flags override values from an optional key=value config file.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,99 +22,69 @@ from .units import AtomSpec, bohr_ratio, derive_state
 from .wronskian import make_radial_grid, sample_wave
 
 
-# allowed values of the options that take one of a fixed set, for flags and
-# config files alike
-_CHOICES = {"format": ("csv", "json"), "normalize": ("on", "off")}
+def _number(kind: type, least: float = -math.inf) -> Callable[[str], float]:
+    """Converter for a numeric flag or config value: finite and at least ``least``."""
+    need = f"a finite {kind.__name__}" + ("" if least == -math.inf else f" >= {least}")
+
+    def convert(text: str):
+        try:
+            val = kind(text)
+        except ValueError:
+            val = math.nan
+        if not (abs(val) < math.inf and val >= least):
+            raise argparse.ArgumentTypeError(f"expected {need}, got {text!r}")
+        return val
+
+    return convert
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, default=None, help="key=value config file")
-    p.add_argument("--format", choices=_CHOICES["format"], default=None)
-    p.add_argument("--out", type=Path, default=None, help="output path (default stdout)")
+def _list_of(item: Callable[[str], float]) -> Callable[[str], list]:
+    return lambda text: [item(part) for part in text.split(",")]
 
 
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--r-max", type=float, default=None, help="grid extent in units of r_o")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--normalize", choices=_CHOICES["normalize"], default=None)
+class _Option(NamedTuple):
+    type: Callable[[str], object]
+    default: str | None  # as typed on the command line; help explains a None
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+# Every option, declared once.  Flags, config values and defaults all pass
+# through its type, so they share its checks.
+_OPTIONS = {
+    "z": _Option(_number(int), "1", "nuclear charge Z"),
+    "n": _Option(_number(int), "1", "principal quantum number"),
+    "n_max": _Option(_number(int), "3", "largest n to check, 1 to 3"),
+    "v": _Option(_number(float), "1.0", "velocity"),
+    "mass": _Option(_number(float), "1.0", "particle mass"),
+    "branches": _Option(_number(int, 1), "6", "number of moving nodes"),
+    "t": _Option(_number(float), "0.0", "time of the node positions"),
+    "states": _Option(_list_of(_number(int)), "1,2", "comma-separated n values"),
+    "weights": _Option(_list_of(_number(float)), "1,1", "comma-separated weights"),
+    "t_max": _Option(_number(float), None, "end time (default: period of the slowest state)"),
+    "t_samples": _Option(_number(int), "16", "number of time slices"),
+    "r_max": _Option(_number(float), "3.0", "grid extent in units of r_o"),
+    "samples": _Option(_number(int), "1000", "number of radial grid points"),
+    "normalize": _Option(str, "off", "scale R to max |R| = 1", ("on", "off")),
+    "config": _Option(Path, None, "key=value config file"),
+    "format": _Option(str, "json", "output format", ("csv", "json")),
+    "out": _Option(Path, None, "output path (default: stdout)"),
+    "out_dir": _Option(Path, ".", "directory for figure_n{1,2,3}.csv"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vwave")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("state", help="derived scalar parameters of a bound state")
-    p.add_argument("--z", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("free", help="uniform-motion wave/trajectory parameters")
-    p.add_argument("--v", type=float, default=None)
-    p.add_argument("--mass", type=float, default=None)
-    p.add_argument("--branches", type=int, default=None)
-    p.add_argument("--t", type=float, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("wave", help="sampled bound wave (u_+, u_-, R)")
-    p.add_argument("--z", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    _add_grid_flags(p)
-    _add_common(p)
-
-    p = sub.add_parser("nodes", help="node detection and classification")
-    p.add_argument("--z", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    _add_grid_flags(p)
-    _add_common(p)
-
-    p = sub.add_parser("superpose", help="node tracking for a superposition")
-    p.add_argument("--z", type=int, default=None)
-    p.add_argument("--states", type=str, default=None, help="comma-separated n values")
-    p.add_argument("--weights", type=str, default=None, help="comma-separated weights")
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--t-samples", type=int, default=None)
-    _add_grid_flags(p)
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="independent verification battery")
-    p.add_argument("--z", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None, help="largest n to check (1 to 3)")
-    _add_common(p)
-
-    p = sub.add_parser("figures", help="R(r/r_o) curve data for n = 1, 2, 3")
-    p.add_argument("--z", type=int, default=None)
-    p.add_argument("--out-dir", type=Path, default=None)
-    _add_grid_flags(p)
-    _add_common(p)
-
+    for name, (_, help_text, keys) in _SUBCOMMANDS.items():
+        # no abbreviations, or figures would take --out for --out-dir
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for key in keys:
+            opt = _OPTIONS[key]
+            text = opt.help if opt.default is None else f"{opt.help} (default: {opt.default})"
+            p.add_argument("--" + key.replace("_", "-"), type=opt.type, choices=opt.choices,
+                           help=text)
     return parser
-
-
-_DEFAULTS = {
-    "z": 1,
-    "n": 1,
-    "n_max": 3,
-    "v": 1.0,
-    "mass": 1.0,
-    "branches": 6,
-    "t": 0.0,
-    "r_max": 3.0,
-    "samples": 1000,
-    "format": "json",
-    "normalize": "off",
-    "states": "1,2",
-    "weights": "1,1",
-    "t_max": None,
-    "t_samples": 16,
-    "out": None,
-    "out_dir": None,
-}
-
-_TYPES = {
-    "z": int, "n": int, "n_max": int, "branches": int, "samples": int,
-    "t_samples": int, "v": float, "mass": float, "t": float, "r_max": float,
-    "t_max": float, "out": Path, "out_dir": Path,
-}
 
 
 def read_config(path: Path) -> dict:
@@ -131,29 +103,27 @@ def read_config(path: Path) -> dict:
             raise ValueError(f"malformed config line: {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _DEFAULTS:
+        if key not in _OPTIONS or key == "config":
             raise ValueError(f"unknown config key {key!r} in {path}")
-        if key in _CHOICES and val not in _CHOICES[key]:
+        opt = _OPTIONS[key]
+        if opt.choices and val not in opt.choices:
             raise ValueError(
-                f"config key {key!r} must be one of {', '.join(_CHOICES[key])}, got {val!r}"
+                f"config key {key!r} must be one of {', '.join(opt.choices)}, got {val!r}"
             )
         try:
-            cfg[key] = _TYPES.get(key, str)(val)
-        except ValueError:
-            raise ValueError(f"config key {key!r}: invalid value {val!r}") from None
+            cfg[key] = opt.type(val)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
     return cfg
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
     """Merge defaults, config file, and flags (flags win)."""
-    opts = dict(_DEFAULTS)
-    cfg_path = getattr(args, "config", None)
-    if cfg_path is not None:
-        opts.update(read_config(cfg_path))
-    for key, val in vars(args).items():
-        if key in ("command", "config") or val is None:
-            continue
-        opts[key] = val
+    opts = {key: None if opt.default is None else opt.type(opt.default)
+            for key, opt in _OPTIONS.items()}
+    if args.config is not None:
+        opts.update(read_config(args.config))
+    opts.update((key, val) for key, val in vars(args).items() if val is not None)
     return opts
 
 
@@ -180,19 +150,13 @@ def _state_payload(z: int, n: int) -> dict:
     }
 
 
-def cmd_state(opts: dict) -> int:
+def cmd_state(opts: dict) -> tuple[dict, list, list]:
     payload = _state_payload(opts["z"], opts["n"])
-    if opts["format"] == "csv":
-        keys = [k for k in sorted(payload) if k != "atom"]
-        text = render_csv(["z", "n", *keys],
-                          [[opts["z"], opts["n"], *(payload[k] for k in keys)]])
-    else:
-        text = dumps_json(payload)
-    _emit(text, opts["out"])
-    return 0
+    keys = [k for k in sorted(payload) if k != "atom"]
+    return payload, ["z", "n", *keys], [[opts["z"], opts["n"], *(payload[k] for k in keys)]]
 
 
-def cmd_free(opts: dict) -> int:
+def cmd_free(opts: dict) -> tuple[dict, list, list]:
     p = free_motion.free_params(opts["v"], opts["mass"])
     node_xs = [free_motion.node_trajectory(p, b, opts["t"]) for b in range(opts["branches"])]
     payload = {
@@ -207,13 +171,7 @@ def cmd_free(opts: dict) -> int:
         "v": p.v,
         "wavelength": p.wavelength,
     }
-    if opts["format"] == "csv":
-        text = render_csv(["branch", "x_node"],
-                          [[b, x] for b, x in enumerate(node_xs)])
-    else:
-        text = dumps_json(payload)
-    _emit(text, opts["out"])
-    return 0
+    return payload, ["branch", "x_node"], [[b, x] for b, x in enumerate(node_xs)]
 
 
 def _build_wave(opts: dict, n: int | None = None):
@@ -238,94 +196,57 @@ def _wave_rows(wave, normalize: bool):
     ]
 
 
-def cmd_wave(opts: dict) -> int:
+def cmd_wave(opts: dict) -> tuple[dict, list, list]:
     wave = _build_wave(opts)
+    header = ["r", "r_over_ro", "u_plus", "u_minus", "R"]
     rows = _wave_rows(wave, opts["normalize"] == "on")
-    if opts["format"] == "csv":
-        text = render_csv(["r", "r_over_ro", "u_plus", "u_minus", "R"], rows)
-    else:
-        text = dumps_json(
-            {
-                "atom": {"n": wave.atom.n, "z": wave.atom.z},
-                "left_limit_at_ro": wave.left_limit_at_ro,
-                "right_limit_at_ro": wave.right_limit_at_ro,
-                "samples": [
-                    {"r": a, "r_over_ro": b, "u_plus": c_, "u_minus": d, "R": e}
-                    for a, b, c_, d, e in rows
-                ],
-                "state": _state_payload(wave.atom.z, wave.atom.n),
-            }
-        )
-    _emit(text, opts["out"])
-    return 0
+    payload = {
+        "atom": {"n": wave.atom.n, "z": wave.atom.z},
+        "left_limit_at_ro": wave.left_limit_at_ro,
+        "right_limit_at_ro": wave.right_limit_at_ro,
+        "samples": [dict(zip(header, row)) for row in rows],
+        "state": _state_payload(wave.atom.z, wave.atom.n),
+    }
+    return payload, header, rows
 
 
-def cmd_nodes(opts: dict) -> int:
+def cmd_nodes(opts: dict) -> tuple[dict, list, list]:
     wave = _build_wave(opts)
-    report = nodes_mod.find_nodes(wave)
     r_o = wave.state.r_o
-    entries = [
-        {
-            "discontinuous": nd.discontinuous,
-            "kind": nd.kind.value,
-            "left_slope_sign": nd.left_slope_sign,
-            "radius_bohr": nd.radius,
-            "radius_over_ro": nd.radius / r_o,
-            "right_slope_sign": nd.right_slope_sign,
-            "value_left": nd.value_left,
-            "value_right": nd.value_right,
-        }
-        for nd in report.nodes
+    header = ["radius_bohr", "radius_over_ro", "kind", "left_slope_sign",
+              "right_slope_sign", "value_left", "value_right", "discontinuous"]
+    rows = [
+        [nd.radius, nd.radius / r_o, nd.kind.value, nd.left_slope_sign,
+         nd.right_slope_sign, nd.value_left, nd.value_right, nd.discontinuous]
+        for nd in nodes_mod.find_nodes(wave).nodes
     ]
-    if opts["format"] == "csv":
-        text = render_csv(
-            ["radius_bohr", "radius_over_ro", "kind", "left_slope_sign",
-             "right_slope_sign", "value_left", "value_right", "discontinuous"],
-            [[e["radius_bohr"], e["radius_over_ro"], e["kind"], e["left_slope_sign"],
-              e["right_slope_sign"], e["value_left"], e["value_right"],
-              e["discontinuous"]] for e in entries],
-        )
-    else:
-        text = dumps_json({"atom": {"n": wave.atom.n, "z": wave.atom.z}, "nodes": entries})
-    _emit(text, opts["out"])
-    return 0
+    entries = [dict(zip(header, row)) for row in rows]
+    return {"atom": {"n": wave.atom.n, "z": wave.atom.z}, "nodes": entries}, header, rows
 
 
-def cmd_superpose(opts: dict) -> int:
-    ns = [int(s) for s in str(opts["states"]).split(",")]
-    weights = [float(s) for s in str(opts["weights"]).split(",")]
-    waves = [_build_wave(opts, n=n) for n in ns]
-    omegas = [w.state.omega for w in waves]
+def cmd_superpose(opts: dict) -> tuple[dict, list, list]:
+    waves = [_build_wave(opts, n=n) for n in opts["states"]]
     t_max = opts["t_max"]
     if t_max is None:
-        t_max = 2.0 * np.pi / min(omegas)
+        t_max = 2.0 * np.pi / min(w.state.omega for w in waves)
     times = list(np.linspace(0.0, t_max, opts["t_samples"]))
     # nodes are tracked on the common radial domain of all states, avoiding
     # every state's excluded neighborhoods
     track_grid = nodes_mod.common_tracking_grid(waves, samples=opts["samples"])
-    common_max = track_grid.r_max
-    tracked = nodes_mod.track_superposition_nodes(waves, weights, times, track_grid)
+    tracked = nodes_mod.track_superposition_nodes(waves, opts["weights"], times, track_grid)
     payload = {
         "atom_z": opts["z"],
-        "common_r_max": common_max,
+        "common_r_max": track_grid.r_max,
         "slices": [
             {"degenerate": sl.degenerate, "radii": list(sl.radii), "t": sl.t}
             for sl in tracked.slices
         ],
-        "states": ns,
+        "states": opts["states"],
         "tracks": [[{"r": r, "t": t} for t, r in tr] for tr in tracked.tracks],
-        "weights": weights,
+        "weights": opts["weights"],
     }
-    if opts["format"] == "csv":
-        rows = []
-        for i, sl in enumerate(tracked.slices):
-            for r in sl.radii:
-                rows.append([i, sl.t, r])
-        text = render_csv(["slice", "t", "radius_bohr"], rows)
-    else:
-        text = dumps_json(payload)
-    _emit(text, opts["out"])
-    return 0
+    rows = [[i, sl.t, r] for i, sl in enumerate(tracked.slices) for r in sl.radii]
+    return payload, ["slice", "t", "radius_bohr"], rows
 
 
 def cmd_verify(opts: dict) -> int:
@@ -335,8 +256,7 @@ def cmd_verify(opts: dict) -> int:
 
 
 def cmd_figures(opts: dict) -> int:
-    out_dir = opts["out_dir"] or Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    opts["out_dir"].mkdir(parents=True, exist_ok=True)
     for n in (1, 2, 3):
         wave = _build_wave(opts, n=n)
         scale = float(np.max(np.abs(wave.r_vals)))
@@ -345,27 +265,43 @@ def cmd_figures(opts: dict) -> int:
             for r, rv in zip(wave.grid.samples, wave.r_vals)
         ]
         text = render_csv(["r_over_ro", "R_normalized"], rows)
-        (out_dir / f"figure_n{n}.csv").write_bytes(text.encode("utf-8"))
+        (opts["out_dir"] / f"figure_n{n}.csv").write_bytes(text.encode("utf-8"))
     return 0
 
 
-_COMMANDS = {
-    "state": cmd_state,
-    "free": cmd_free,
-    "wave": cmd_wave,
-    "nodes": cmd_nodes,
-    "superpose": cmd_superpose,
-    "verify": cmd_verify,
-    "figures": cmd_figures,
+# name: (command, help, the options it reads in --help order).  A command that
+# reads --format returns (payload, csv_header, csv_rows) for main to write;
+# the others write their own output and return the exit code.
+_SUBCOMMANDS = {
+    "state": (cmd_state, "derived scalar parameters of a bound state",
+              ("z", "n", "config", "format", "out")),
+    "free": (cmd_free, "uniform-motion wave/trajectory parameters",
+             ("v", "mass", "branches", "t", "config", "format", "out")),
+    "wave": (cmd_wave, "sampled bound wave (u_+, u_-, R)",
+             ("z", "n", "r_max", "samples", "normalize", "config", "format", "out")),
+    "nodes": (cmd_nodes, "node detection and classification",
+              ("z", "n", "r_max", "samples", "config", "format", "out")),
+    "superpose": (cmd_superpose, "node tracking for a superposition",
+                  ("z", "states", "weights", "t_max", "t_samples", "r_max", "samples",
+                   "config", "format", "out")),
+    "verify": (cmd_verify, "independent verification battery (JSON only)",
+               ("z", "n_max", "config", "out")),
+    "figures": (cmd_figures, "R(r/r_o) curve data for n = 1, 2, 3",
+                ("z", "out_dir", "r_max", "samples", "config")),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run, _, keys = _SUBCOMMANDS[args.command]
     try:
         opts = resolve_options(args)
-        return _COMMANDS[args.command](opts)
+        if "format" not in keys:
+            return run(opts)
+        payload, header, rows = run(opts)
+        text = render_csv(header, rows) if opts["format"] == "csv" else dumps_json(payload)
+        _emit(text, opts["out"])
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from vwave.cli import main, read_config
+from vwave.cli import _OPTIONS, _SUBCOMMANDS, build_parser, main, read_config, resolve_options
 
 
 def run_cli(capsys, *argv):
@@ -170,7 +170,11 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "'smaples'" in captured.err
 
 
-@pytest.mark.parametrize("line", ["format = xml", "normalize = yes", "samples = many"])
+@pytest.mark.parametrize(
+    "line",
+    ["format = xml", "normalize = yes", "samples = many", "v = nan", "r_max = inf",
+     "t_max = -inf", "weights = 1,nan", "branches = 0"],
+)
 def test_config_rejects_bad_value(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
@@ -183,10 +187,16 @@ def test_config_rejects_bad_value(tmp_path, capsys, line):
 
 def test_config_keys_of_other_subcommands_allowed(tmp_path, capsys):
     cfg = tmp_path / "shared.cfg"
-    cfg.write_text("z = 2\nn = 1\nsamples = 500\nt-samples = 4\nn_max = 1\nv = 2.0\n")
+    cfg.write_text(
+        "z = 2\nn = 1\nsamples = 500\nt-samples = 4\nn_max = 1\nv = 2.0\nnormalize = on\n"
+    )
     code, out = run_cli(capsys, "state", "--config", str(cfg))
     assert code == 0
     assert json.loads(out)["energy_hartree"] == -2.0
+    # nodes takes no --normalize flag, but a shared file may still set it
+    code, out = run_cli(capsys, "nodes", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["atom"] == {"n": 1, "z": 2}
 
 
 def test_exclusion_is_not_an_option(tmp_path, capsys):
@@ -239,3 +249,87 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert printed == ""
     assert json.loads(out.read_text())["energy_hartree"] == -2.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nodes", "--normalize", "on"],
+        ["superpose", "--normalize", "on"],
+        ["figures", "--normalize", "on"],
+        ["figures", "--format", "csv"],
+        ["figures", "--out", "figures.csv"],
+        ["verify", "--format", "csv"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, capsys, argv):
+    # --out-dir keeps what a wrongly accepted figures call writes out of the tree
+    extra = ["--out-dir", str(tmp_path)] if argv[0] == "figures" else []
+    with pytest.raises(SystemExit) as exc:
+        main(argv + extra)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert argv[1] in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wave", "--r-max", "nan"],
+        ["free", "--v", "nan"],
+        ["free", "--mass", "inf"],
+        ["free", "--t", "-inf"],
+        ["free", "--branches", "-3"],
+        ["free", "--branches", "0"],
+        ["superpose", "--t-max", "nan"],
+        ["superpose", "--weights=1,nan"],
+    ],
+)
+def test_non_finite_or_out_of_range_numbers_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert argv[1].split("=")[0] in captured.err
+
+
+# one value per option, each different from its default
+_SAMPLE_VALUES = {
+    "z": "2", "n": "3", "n_max": "2", "v": "1.5", "mass": "2", "branches": "4",
+    "t": "0.5", "states": "2,3", "weights": "-1,0.5", "t_max": "3", "t_samples": "5",
+    "r_max": "2.5", "samples": "500", "normalize": "on", "format": "csv",
+    "out": "result.txt", "out_dir": "figs",
+}
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [(cmd, key) for cmd, (_, _, keys) in _SUBCOMMANDS.items()
+     for key in keys if key != "config"],
+)
+def test_flag_and_config_values_agree(tmp_path, command, key):
+    flag, value = key.replace("_", "-"), _SAMPLE_VALUES[key]
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{flag} = {value}\n")
+    parser = build_parser()
+    from_flag = resolve_options(parser.parse_args([command, f"--{flag}={value}"]))[key]
+    from_cfg = resolve_options(parser.parse_args([command, "--config", str(cfg)]))[key]
+    assert from_flag == from_cfg
+    assert type(from_flag) is type(from_cfg)
+    assert from_flag != resolve_options(parser.parse_args([command]))[key]
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+def test_help_shows_each_default(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for key in _SUBCOMMANDS[command][2]:
+        flag = "--" + key.replace("_", "-")
+        assert flag in text
+        if _OPTIONS[key].default is not None:
+            assert f"(default: {_OPTIONS[key].default})" in text
