@@ -22,7 +22,6 @@ from .wronskian import BoundWave, RadialGrid, superpose
 class NodeKind(str, Enum):
     TRAJECTORY_SURFACE = "trajectory_surface"
     PLAIN_ZERO = "plain_zero"
-    DISCONTINUITY = "discontinuity"
 
 
 @dataclass(frozen=True)
@@ -63,22 +62,24 @@ def _bisect_zero(f, lo: float, hi: float, abs_tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _kind(slope_left: float, slope_right: float, discontinuous: bool) -> NodeKind:
-    if _sgn(slope_left) != _sgn(slope_right):
-        return NodeKind.TRAJECTORY_SURFACE
-    if discontinuous:
-        return NodeKind.DISCONTINUITY
-    return NodeKind.PLAIN_ZERO
+def _node(radius: float, vl: float, vr: float, sl: float, sr: float, disc: bool = False) -> Node:
+    """A node from its one-sided values and slopes; opposite slope signs make a surface."""
+    kind = NodeKind.PLAIN_ZERO if _sgn(sl) == _sgn(sr) else NodeKind.TRAJECTORY_SURFACE
+    return Node(radius, kind, _sgn(sl), _sgn(sr), vl, vr, disc)
 
 
 def find_nodes(wave: BoundWave) -> NodeReport:
     """Locate and classify every zero locus of the sampled R(r).
 
     Sign changes inside smooth segments are refined on the interpolant to
-    1e-6*r_o.  Sign changes straddling an exclusion zone are reported at the
-    zone center; at the r_o zone the stored one-sided limits are used, and a
-    jump between them beyond 1e-6*max|R| is flagged as discontinuous.
-    Touches (local |R| minima below tol = 1e-9*max|R|) are reported as well.
+    1e-6*r_o; touches (local |R| minima below tol = 1e-9*max|R|) count too.
+    A sign change across the gap between two segments is reported at the
+    center of its exclusion zone.  At an interior zero of u_+ the gap's sides
+    are the exact values and slopes at the segment ends.  At r_o they are the
+    limits L_-+/r_o, and u_+ ~ u_+'(r_o)*s times the finite part's c1*ln|s|
+    term gives u_-(r_o + s) = L_-+*(1 + k_o^2*r_o*s*ln|s|) + O(s): the slope
+    L_-+*k_o^2*r_o*ln|s| diverges with sign -sign(L_-+).  The limits have
+    opposite signs, so r_o is a trajectory surface, the only discontinuous node.
     """
     if len(wave.grid.samples) < 200:
         raise ValueError("wave must be sampled on at least 200 points")
@@ -86,7 +87,6 @@ def find_nodes(wave: BoundWave) -> NodeReport:
     tol = 1e-9 * scale
     r_o = wave.state.r_o
     loc_tol = 1e-6 * r_o
-    jump_tol = 1e-6 * scale
     segs = wave.grid.segments()
     interps = wave.segment_interpolators()
     spacing = float(np.median(np.diff(wave.grid.samples)))
@@ -100,7 +100,7 @@ def find_nodes(wave: BoundWave) -> NodeReport:
         vr = float(itp(min(hi, r + delta)))
         sl = float(dv(max(lo, r - 0.5 * delta)))
         sr = float(dv(min(hi, r + 0.5 * delta)))
-        return vl, vr, sl, sr
+        return _node(r, vl, vr, sl, sr)
 
     for seg, itp in zip(segs, interps):
         vals = itp(seg)
@@ -109,49 +109,34 @@ def find_nodes(wave: BoundWave) -> NodeReport:
             if a == 0.0 or a * b >= 0.0:
                 continue
             r_star = _bisect_zero(itp, float(seg[i]), float(seg[i + 1]), loc_tol)
-            vl, vr, sl, sr = probe(itp, seg, r_star)
-            nodes.append(
-                Node(r_star, _kind(sl, sr, False), _sgn(sl), _sgn(sr), vl, vr, False)
-            )
+            nodes.append(probe(itp, seg, r_star))
         absv = np.abs(vals)
         for i in range(1, len(seg) - 1):
             if absv[i] < tol and absv[i] <= absv[i - 1] and absv[i] <= absv[i + 1]:
                 if vals[i - 1] * vals[i + 1] > 0.0:  # no crossing: genuine touch
-                    r_star = float(seg[i])
-                    vl, vr, sl, sr = probe(itp, seg, r_star)
-                    nodes.append(
-                        Node(r_star, _kind(sl, sr, False), _sgn(sl), _sgn(sr), vl, vr, False)
-                    )
+                    nodes.append(probe(itp, seg, float(seg[i])))
 
-    for lo, hi in wave.grid.exclusion_zones:
-        left_i = int(np.searchsorted(wave.grid.samples, lo)) - 1
-        right_i = int(np.searchsorted(wave.grid.samples, hi))
-        if left_i < 1 or right_i > len(wave.grid.samples) - 2:
-            continue  # zone at the edge of the sampled domain
-        center = 0.5 * (lo + hi)
-        if abs(center - r_o) < loc_tol:
+    r = wave.grid.samples
+    centers = [0.5 * (lo + hi) for lo, hi in wave.grid.exclusion_zones]
+    i = 0  # index of the first sample right of the gap
+    for seg in segs[:-1]:
+        i += len(seg)
+        # segments split at zone centers, so every gap holds at least one
+        center = min((c for c in centers if r[i - 1] < c < r[i]), key=lambda c: abs(c - r_o))
+        at_ro = bool(r[i - 1] < r_o < r[i])
+        if at_ro:
             vl = wave.left_limit_at_ro / r_o
             vr = wave.right_limit_at_ro / r_o
+            sl, sr = -vl, -vr
         else:
-            vl = float(wave.r_vals[left_i])
-            vr = float(wave.r_vals[right_i])
+            vl, vr = float(wave.r_vals[i - 1]), float(wave.r_vals[i])
+            sl, sr = float(wave.r_slopes[i - 1]), float(wave.r_slopes[i])
         if vl * vr >= 0.0 and not (abs(vl) < tol or abs(vr) < tol):
             continue
-        sl = _gap_slope(wave, left_i, side=-1)
-        sr = _gap_slope(wave, right_i, side=+1)
-        disc = abs(vr - vl) > jump_tol
-        nodes.append(Node(center, _kind(sl, sr, disc), _sgn(sl), _sgn(sr), vl, vr, disc))
+        nodes.append(_node(center, vl, vr, sl, sr, at_ro))
 
     nodes.sort(key=lambda n: n.radius)
     return NodeReport(nodes=tuple(nodes))
-
-
-def _gap_slope(wave: BoundWave, idx: int, side: int) -> float:
-    """Finite-difference slope of R from the two samples adjacent to a gap."""
-    r, v = wave.grid.samples, wave.r_vals
-    if side < 0:
-        return float((v[idx] - v[idx - 1]) / (r[idx] - r[idx - 1]))
-    return float((v[idx + 1] - v[idx]) / (r[idx + 1] - r[idx]))
 
 
 @dataclass(frozen=True)
@@ -206,12 +191,15 @@ def track_superposition_nodes(
     Adjacent-time nodes are associated by nearest radius; a jump beyond
     0.1*r_o (smallest r_o among the states) starts a new track.
     A slice whose wave is uniformly below 1e-9 of the global amplitude is
-    reported degenerate and contributes no nodes.
+    reported degenerate and contributes no nodes.  Weights that are all zero
+    are refused: every slice of such a superposition is degenerate.
     """
     if len(times) < 2:
         raise ValueError("need at least 2 time samples")
     if not waves or len(waves) != len(weights):
         raise ValueError("need equally many waves and weights, at least one each")
+    if not any(weights):
+        raise ValueError("weights are all zero: the superposition vanishes everywhere")
     if len({w.atom.z for w in waves}) > 1:
         raise ValueError("waves mix nuclear charges")
     r_o_ref = min(w.state.r_o for w in waves)

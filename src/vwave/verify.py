@@ -33,10 +33,9 @@ def _coefficient(r: np.ndarray, state: StateParams) -> np.ndarray:
     return state.k_o**2 * state.alpha / (state.alpha - state.beta0_sq * r) - state.k_o**2
 
 
-def _segment_residual(u_sampler, state: StateParams, seg: np.ndarray) -> float:
-    """Max pointwise-normalized residual on one uniform segment (3-point stencil)."""
+def _segment_residual(u: np.ndarray, state: StateParams, seg: np.ndarray) -> float:
+    """Max pointwise-normalized residual of u on one uniform segment (3-point stencil)."""
     h = seg[1] - seg[0]
-    u = np.asarray(u_sampler(seg), dtype=float)
     upp = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h**2
     mid = seg[1:-1]
     coef = _coefficient(mid, state)
@@ -64,8 +63,9 @@ def ode_residual(u_sampler, state: StateParams, grid: RadialGrid) -> ResidualRep
         if not np.allclose(h, h[0], rtol=1e-9):
             raise ValueError("grid must be uniform within each smooth segment")
         spacing = float(h[0]) if spacing is None else max(spacing, float(h[0]))
-        worst = max(worst, _segment_residual(u_sampler, state, seg))
-        worst_coarse = max(worst_coarse, _segment_residual(u_sampler, state, seg[::2]))
+        u = np.asarray(u_sampler(seg), dtype=float)
+        worst = max(worst, _segment_residual(u, state, seg))
+        worst_coarse = max(worst_coarse, _segment_residual(u[::2], state, seg[::2]))
     order = math.log2(worst_coarse / worst) if worst > 0 else float("nan")
     return ResidualReport(
         grid_spacing=spacing,
@@ -272,19 +272,17 @@ def run_suite(z: int = 1, n_max: int = 3) -> dict:
         rep_m = ode_residual(lambda r: u_minus(r, sol), sol.state, rgrid)
         record(f"u_minus_residual_n{n}", rep_m.max_rel_residual, 1e-4)
 
+        # the quadrature itself, not the closed-form limits, must change sign
+        r_o = sol.state.r_o
+        left, right = u_minus(np.array([1.0 - 1e-4, 1.0 + 1e-4]) * r_o, sol)
+        record(f"sign_change_at_ro_n{n}", 0.0, 0.5, ok=left * right < 0.0)
         wave = sample_wave(sol, make_radial_grid(sol))
-        record(
-            f"sign_change_at_ro_n{n}",
-            0.0,
-            0.5,
-            ok=wave.left_limit_at_ro * wave.right_limit_at_ro < 0.0,
-        )
         record(f"shooting_vs_wronskian_n{n}", shooting_deviation(sol, wave), 1e-4)
         report = find_nodes(wave)
         surfaces = [nd for nd in report.nodes if nd.kind is NodeKind.TRAJECTORY_SURFACE]
         located = (
             len(surfaces) == 1
-            and abs(surfaces[0].radius - sol.state.r_o) <= 1e-6 * sol.state.r_o
+            and abs(surfaces[0].radius - r_o) <= 1e-6 * r_o
         )
         record(f"trajectory_surface_n{n}", 0.0, 0.5, ok=located)
 

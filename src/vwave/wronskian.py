@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pchip import pchip
+from .hermite import hermite
 from .series import SeriesSolution, interior_zeros, u_plus as _u_plus_series, u_plus_prime
 from .units import AtomSpec, StateParams
 
@@ -78,8 +78,8 @@ def min_samples(r_max: float, zones: tuple[tuple[float, float], ...]) -> int:
 
 # half-width, in units of r_o, of the neighborhood a sampled grid leaves out
 # around r_o and around every interior zero of u_+.  Wider neighborhoods hide
-# the structure find_nodes classifies: at 1e-2 it misclassifies nodes from
-# n = 4 on, at 0.1 from n = 2.
+# zeros of u_- from find_nodes: at 1e-2 it misses some from n = 7 on, at 0.1
+# from n = 3 (1000 samples).
 EXCLUSION = 1e-3
 
 
@@ -331,21 +331,9 @@ class WronskianEvaluator:
         return float(self.u_minus_many(r))
 
     def limits_at_ro(self) -> tuple[float, float]:
-        """One-sided limits of u_- at r_o by s*log(s)-model extrapolation.
-
-        Near r_o: u_-(r_o + s) = L + a*s*ln|s| + b*s + O(s^2 ln s), fitted
-        through |s| = (1, 0.5, 0.25)*1e-4*r_o on each side.  The neglected
-        s^2*ln(s) terms grow with n: against the exact limits -/+1/u_+'(r_o)
-        the fit is off by about 1.3e-4 relative at n=5 and 1.7e-3 at n=10.
-        """
-        ss = np.array([1.0, 0.5, 0.25]) * 1e-4 * self.r_o
-        vals = self.u_minus_many(self.r_o + np.concatenate([-ss, ss]))
-
-        def extrapolate(s: np.ndarray, v: np.ndarray) -> float:
-            m = np.column_stack([np.ones(3), s * np.log(np.abs(s)), s])
-            return float(np.linalg.solve(m, v)[0])
-
-        return extrapolate(-ss, vals[:3]), extrapolate(ss, vals[3:])
+        """One-sided limits -/+ 1/u_+'(r_o) of u_- at r_o, from the r_o pole data."""
+        d1 = next(p.d1 for p in self._poles if p.z == self.r_o)
+        return -1.0 / d1, 1.0 / d1
 
 
 @lru_cache(maxsize=32)
@@ -369,12 +357,13 @@ class BoundWave:
     u_minus: np.ndarray
     u_plus_vals: np.ndarray
     r_vals: np.ndarray  # R = u_- / r
+    r_slopes: np.ndarray  # dR/dr
     left_limit_at_ro: float
     right_limit_at_ro: float
     _interp: list = field(default_factory=list, repr=False)
 
     def segment_interpolators(self):
-        """Monotone-safe cubic (PCHIP) interpolants of R, one per smooth segment."""
+        """Cubic Hermite interpolants of R on its exact slopes, one per smooth segment."""
         if not self._interp:
             segs = self.grid.segments()
             lone = next((seg for seg in segs if len(seg) < 2), None)
@@ -385,10 +374,9 @@ class BoundWave:
                     f"interpolate; use at least "
                     f"{min_samples(self.grid.r_max, self.grid.exclusion_zones)} samples"
                 )
-            start = 0
-            for seg in segs:
-                self._interp.append(pchip(seg, self.r_vals[start:start + len(seg)]))
-                start += len(seg)
+            cuts = np.cumsum([len(seg) for seg in segs])[:-1]
+            for seg, v, d in zip(segs, np.split(self.r_vals, cuts), np.split(self.r_slopes, cuts)):
+                self._interp.append(hermite(seg, v, d))
         return self._interp
 
     def r_of(self, r: float) -> float:
@@ -400,10 +388,18 @@ class BoundWave:
 
 
 def sample_wave(sol: SeriesSolution, grid: RadialGrid) -> BoundWave:
-    """Sample u_-, u_+ and R = u_-/r on a grid respecting exclusion zones."""
+    """Sample u_-, u_+, R = u_-/r and exact dR/dr on a grid respecting exclusion zones.
+
+    From u_- = u_+ * int dr'/u_+^2: u_-' = (u_+'*u_- + 1)/u_+ left of r_o (the
+    integral from 0) and (u_+'*u_- - 1)/u_+ right of it (to infinity); R' = (u_-' - R)/r.
+    """
     ev = _evaluator(sol)
-    um = ev.u_minus_many(grid.samples)
-    up = np.asarray(_u_plus_series(grid.samples, sol))
+    r = grid.samples
+    um = ev.u_minus_many(r)
+    up = np.asarray(_u_plus_series(r, sol))
+    side = np.where(r < sol.state.r_o, 1.0, -1.0)
+    dum = (u_plus_prime(r, sol) * um + side) / up
+    rv = um / r
     left, right = ev.limits_at_ro()
     return BoundWave(
         atom=sol.atom,
@@ -411,7 +407,8 @@ def sample_wave(sol: SeriesSolution, grid: RadialGrid) -> BoundWave:
         grid=grid,
         u_minus=um,
         u_plus_vals=up,
-        r_vals=um / grid.samples,
+        r_vals=rv,
+        r_slopes=(dum - rv) / r,
         left_limit_at_ro=left,
         right_limit_at_ro=right,
     )

@@ -243,6 +243,14 @@ def test_invalid_grid_options_exit_2(capsys):
     assert code == 2
 
 
+def test_all_zero_weights_exit_2(capsys):
+    code = main(["superpose", "--states", "1,2", "--weights", "0,0", "--t-samples", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "all zero" in captured.err
+
+
 def test_out_file(tmp_path, capsys):
     out = tmp_path / "state.json"
     code, printed = run_cli(capsys, "state", "--z", "2", "--n", "1", "--out", str(out))

@@ -11,8 +11,9 @@ from vwave.nodes import (
     find_nodes,
     track_superposition_nodes,
 )
+from vwave.series import build_series
 from vwave.units import AtomSpec, derive_state
-from vwave.wronskian import make_radial_grid
+from vwave.wronskian import make_radial_grid, sample_wave, u_minus
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -25,6 +26,38 @@ def test_exactly_one_trajectory_surface_at_ro(waves, n):
     assert abs(surfaces[0].radius - r_o) <= 1e-6 * r_o
     assert surfaces[0].left_slope_sign != surfaces[0].right_slope_sign
     assert surfaces[0].discontinuous  # opposite one-sided limits at r_o
+
+
+@pytest.mark.parametrize("samples", [1000, 4000])
+@pytest.mark.parametrize("z", [1, 3])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_ro_is_the_single_trajectory_surface(z, n, samples):
+    sol = build_series(AtomSpec(z, n))
+    report = find_nodes(sample_wave(sol, make_radial_grid(sol, samples=samples)))
+    r_o = sol.state.r_o
+    surfaces = [nd for nd in report.nodes if nd.kind is NodeKind.TRAJECTORY_SURFACE]
+    assert len(surfaces) == 1
+    assert abs(surfaces[0].radius - r_o) <= 1e-6 * r_o
+    flagged = [nd for nd in report.nodes if nd.discontinuous]
+    assert flagged == surfaces
+    assert len(report.nodes) == n  # n - 1 plain zeros of u_- inside r_o
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_plain_zeros_match_roots_of_u_minus(n):
+    from scipy.optimize import brentq
+
+    sol = build_series(AtomSpec(1, n))
+    wave = sample_wave(sol, make_radial_grid(sol, samples=1000))
+    r_o = sol.state.r_o
+    roots = []
+    for seg in wave.grid.segments():
+        vals = u_minus(seg, sol)
+        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+            roots.append(brentq(u_minus, seg[i], seg[i + 1], args=(sol,), xtol=1e-12 * r_o))
+    plain = [nd.radius for nd in find_nodes(wave).nodes if nd.kind is NodeKind.PLAIN_ZERO]
+    assert len(plain) == len(roots) == n - 1
+    assert np.max(np.abs(np.array(plain) - roots)) <= 1e-5 * r_o
 
 
 def test_n1_has_single_node(waves):
@@ -58,6 +91,7 @@ def test_detection_invariant_under_rescaling(waves):
         u_minus=wave.u_minus * 37.5,
         u_plus_vals=wave.u_plus_vals * 37.5,
         r_vals=wave.r_vals * 37.5,
+        r_slopes=wave.r_slopes * 37.5,
         left_limit_at_ro=wave.left_limit_at_ro * 37.5,
         right_limit_at_ro=wave.right_limit_at_ro * 37.5,
         _interp=[],
@@ -159,3 +193,5 @@ def test_track_validation(waves):
         track_superposition_nodes([], [], [0.0, 1.0], waves[1].grid)
     with pytest.raises(ValueError):
         track_superposition_nodes([waves[1]], [1.0, 2.0], [0.0, 1.0], waves[1].grid)
+    with pytest.raises(ValueError, match="all zero"):
+        track_superposition_nodes([waves[1], waves[2]], [0.0, 0.0], [0.0, 1.0], waves[1].grid)

@@ -28,6 +28,38 @@ def test_one_sided_limits_match_derivative_reciprocal(solutions, waves, n):
     assert wave.right_limit_at_ro == pytest.approx(+1.0 / d1, rel=1e-4)
 
 
+@pytest.mark.parametrize("z", [1, 3])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_limits_at_ro_are_exact(z, n):
+    # u_+'(r_o) = -e^(2n), since a_1 = 1 and k_o*r_o = 2n
+    left, right = WronskianEvaluator(build_series(AtomSpec(z, n))).limits_at_ro()
+    assert left == pytest.approx(math.exp(-2 * n), rel=1e-14, abs=0.0)
+    assert right == pytest.approx(-math.exp(-2 * n), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10])
+def test_quadrature_approaches_limits_at_ro(n):
+    # the quadrature, not the closed form: u_-(r_o + s) - L = O(s ln|s|)
+    sol = build_series(AtomSpec(1, n))
+    r_o = sol.state.r_o
+    limits = WronskianEvaluator(sol).limits_at_ro()
+    eps = np.array([1e-4, 1e-5, 1e-6, 1e-7])
+    for side, limit in zip((-1.0, 1.0), limits):
+        err = np.abs(u_minus(r_o * (1.0 + side * eps), sol) / limit - 1.0)
+        assert np.all(err[1:] < err[:-1] / 5.0)
+        assert err[-1] < 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_r_slopes_match_differences_of_the_quadrature(solutions, waves, n):
+    sol, wave = solutions[n], waves[n]
+    r = wave.grid.samples[::37]
+    h = 1e-6 * sol.state.r_o
+    diff = (u_minus(r + h, sol) / (r + h) - u_minus(r - h, sol) / (r - h)) / (2.0 * h)
+    scale = np.max(np.abs(wave.r_slopes))
+    np.testing.assert_allclose(wave.r_slopes[::37], diff, rtol=0.0, atol=1e-7 * scale)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_sign_change_at_ro(solutions, n):
     sol = solutions[n]
