@@ -91,13 +91,13 @@ def test_criterion_03_series_termination():
             f"worst termination ratio {worst:.2e}")
 
 
-def test_criterion_04_ode_residuals(solutions):
+def test_criterion_04_ode_residuals(solutions, waves):
     t0 = time.perf_counter()
     worst_plus = worst_minus = 0.0
     orders = []
     for n in (1, 2, 3):
         sol = solutions[n]
-        loci = interior_zeros(sol) + u_minus_crossings(sol)
+        loci = interior_zeros(sol) + u_minus_crossings(find_nodes(waves[n]))
         grid = make_residual_grid(sol.state, loci)
         rep_p = ode_residual(lambda r: u_plus(r, sol), sol.state, grid)
         rep_m = ode_residual(lambda r: u_minus(r, sol), sol.state, grid)

@@ -2,9 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from vwave.nodes import find_nodes
 from vwave.series import build_series, interior_zeros, u_plus
 from vwave.units import AtomSpec, derive_state
 from vwave.verify import (
@@ -19,25 +21,35 @@ from vwave.verify import (
     shooting_deviation,
     u_minus_crossings,
 )
-from vwave.wronskian import RadialGrid, u_minus
+from vwave.wronskian import RadialGrid, make_radial_grid, sample_wave, u_minus
 
 
-def _grid_for(sol):
+def _grid_for(sol, wave):
     return make_residual_grid(
-        sol.state, interior_zeros(sol) + u_minus_crossings(sol)
+        sol.state, interior_zeros(sol) + u_minus_crossings(find_nodes(wave))
     )
 
 
-def test_u_plus_residual_small_and_second_order(solutions):
+def test_u_plus_residual_small_and_second_order(solutions, waves):
     sol = solutions[1]
-    rep = ode_residual(lambda r: u_plus(r, sol), sol.state, _grid_for(sol))
+    rep = ode_residual(lambda r: u_plus(r, sol), sol.state, _grid_for(sol, waves[1]))
     assert rep.max_rel_residual < 1e-6
     assert 1.7 <= rep.order_estimate <= 2.3
 
 
-def test_perturbed_solution_detected(solutions):
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_u_plus_residual_is_second_order_truncation_above_suite_n_max(n):
+    # above SUITE_N_MAX the u_+ residual exceeds 1e-6 because the stencil's
+    # own truncation error grows with n, not because u_+ is wrong
+    sol = build_series(AtomSpec(1, n))
+    wave = sample_wave(sol, make_radial_grid(sol))
+    rep = ode_residual(lambda r: u_plus(r, sol), sol.state, _grid_for(sol, wave))
+    assert 1.7 <= rep.order_estimate <= 2.3
+
+
+def test_perturbed_solution_detected(solutions, waves):
     sol = solutions[1]
-    grid = _grid_for(sol)
+    grid = _grid_for(sol, waves[1])
     clean = ode_residual(lambda r: u_plus(r, sol), sol.state, grid)
     noisy = ode_residual(
         lambda r: u_plus(r, sol) + 1e-3 * np.asarray(r), sol.state, grid
@@ -96,6 +108,23 @@ def test_shooting_matches_wronskian(solutions, waves, n):
     assert shooting_deviation(solutions[n], waves[n]) < 1e-4
 
 
+def _whittaker_u_minus(n, rho):
+    """u_- right of r_o, up to a constant factor: W_{-n,1/2}(2*k_o*(r - r_o))."""
+    with mpmath.workdps(25):
+        return float(mpmath.whitw(-n, 0.5, 4 * n * (mpmath.mpf(rho) - 1)))
+
+
+@pytest.mark.parametrize("z", [1, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_shot_profile_matches_whittaker(z, n):
+    st = derive_state(AtomSpec(z, n))
+    prof = shoot_inward(st.energy, z, 8.0 * st.r_o, 1.2 * st.r_o * 0.99)
+    rho = np.linspace(1.2, 3.0, 37)
+    shot = prof.evaluate(rho * st.r_o) / prof.evaluate(2.0 * st.r_o)
+    exact = np.array([_whittaker_u_minus(n, x) for x in rho]) / _whittaker_u_minus(n, 2.0)
+    assert np.max(np.abs(shot - exact) / np.abs(exact)) < 5e-11
+
+
 def test_shot_profile_is_decaying(solutions):
     sol = solutions[1]
     st = sol.state
@@ -117,13 +146,23 @@ def test_route_agreement():
     assert route_agreement(1, 3) < 1e-9
 
 
-def test_u_minus_crossings_found(solutions):
-    assert u_minus_crossings(solutions[1]) == []
-    c2 = u_minus_crossings(solutions[2])
+def test_u_minus_crossings_found(waves):
+    assert u_minus_crossings(find_nodes(waves[1])) == []
+    c2 = u_minus_crossings(find_nodes(waves[2]))
     assert len(c2) == 1
     # crossing sits between the interior zero (6) and r_o (8)
     assert 6.0 < c2[0] < 8.0
-    assert len(u_minus_crossings(solutions[3])) == 2
+    assert len(u_minus_crossings(find_nodes(waves[3]))) == 2
+    # Sturm separation: u_- has exactly one zero strictly between each pair of
+    # consecutive zeros of u_+, with r_o counted among them
+    for z in (1, 3):
+        for n in range(1, 11):
+            sol = build_series(AtomSpec(z, n))
+            crossings = u_minus_crossings(find_nodes(sample_wave(sol, make_radial_grid(sol))))
+            assert len(crossings) == n - 1, (z, n)
+            zeros = interior_zeros(sol) + [sol.state.r_o]
+            for lo, hi in zip(zeros, zeros[1:]):
+                assert sum(lo < c < hi for c in crossings) == 1, (z, n, lo, hi)
 
 
 @pytest.mark.parametrize("n_max", [0, 4, 10])
