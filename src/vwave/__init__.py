@@ -3,50 +3,53 @@
 Derives bound-state parameters, builds the terminating radial series and its
 Wronskian-constructed decaying partner, classifies wave nodes, and verifies
 everything through independent numerical routes.
+
+Each public name loads its defining module on first use (PEP 562), so
+``import vwave`` loads no numpy and a caller pays only for what it touches.
 """
 
-from .units import AtomSpec, StateParams, bohr_ratio, derive_state
-from .free_motion import FreeParams, free_params, node_trajectory, wave_value
-from .series import SeriesSolution, build_series, interior_zeros, quantization_scan, u_plus
-from .wronskian import (
-    BoundWave,
-    RadialGrid,
-    make_radial_grid,
-    sample_wave,
-    superpose,
-    u_minus,
-    wave_full,
-)
-from .nodes import NodeKind, NodeReport, find_nodes, track_superposition_nodes
-from .verify import energy_closed_form, ode_residual, pde_residual_free, shoot_inward
+import importlib
 
-__all__ = [
-    "AtomSpec",
-    "BoundWave",
-    "FreeParams",
-    "NodeKind",
-    "NodeReport",
-    "RadialGrid",
-    "SeriesSolution",
-    "StateParams",
-    "bohr_ratio",
-    "build_series",
-    "derive_state",
-    "energy_closed_form",
-    "find_nodes",
-    "free_params",
-    "interior_zeros",
-    "make_radial_grid",
-    "node_trajectory",
-    "ode_residual",
-    "pde_residual_free",
-    "quantization_scan",
-    "sample_wave",
-    "shoot_inward",
-    "superpose",
-    "track_superposition_nodes",
-    "u_minus",
-    "u_plus",
-    "wave_full",
-    "wave_value",
-]
+# public name -> defining module
+_EXPORTS = {
+    "AtomSpec": "units",
+    "StateParams": "units",
+    "bohr_ratio": "units",
+    "derive_state": "units",
+    "FreeParams": "free_motion",
+    "free_params": "free_motion",
+    "node_trajectory": "free_motion",
+    "wave_value": "free_motion",
+    "SeriesSolution": "series",
+    "build_series": "series",
+    "interior_zeros": "series",
+    "quantization_scan": "series",
+    "u_plus": "series",
+    "BoundWave": "wronskian",
+    "RadialGrid": "wronskian",
+    "make_radial_grid": "wronskian",
+    "sample_wave": "wronskian",
+    "superpose": "wronskian",
+    "u_minus": "wronskian",
+    "wave_full": "wronskian",
+    "NodeKind": "nodes",
+    "NodeReport": "nodes",
+    "find_nodes": "nodes",
+    "track_superposition_nodes": "nodes",
+    "energy_closed_form": "verify",
+    "ode_residual": "verify",
+    "pde_residual_free": "verify",
+    "shoot_inward": "verify",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -13,13 +13,8 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import free_motion, nodes as nodes_mod, verify as verify_mod
 from .output import dumps_json, render_csv
-from .series import build_series
 from .units import AtomSpec, bohr_ratio, derive_state
-from .wronskian import make_radial_grid, sample_wave
 
 
 def _number(kind: type, least: float = -math.inf) -> Callable[[str], float]:
@@ -157,6 +152,8 @@ def cmd_state(opts: dict) -> tuple[dict, list, list]:
 
 
 def cmd_free(opts: dict) -> tuple[dict, list, list]:
+    from . import free_motion
+
     p = free_motion.free_params(opts["v"], opts["mass"])
     node_xs = [free_motion.node_trajectory(p, b, opts["t"]) for b in range(opts["branches"])]
     payload = {
@@ -175,6 +172,9 @@ def cmd_free(opts: dict) -> tuple[dict, list, list]:
 
 
 def _build_wave(opts: dict, n: int | None = None):
+    from .series import build_series
+    from .wronskian import make_radial_grid, sample_wave
+
     if opts["samples"] < 200:
         raise ValueError("need at least 200 samples for wave/nodes/figures output")
     if opts["r_max"] < 1.5:
@@ -186,7 +186,7 @@ def _build_wave(opts: dict, n: int | None = None):
 
 
 def _wave_rows(wave, normalize: bool):
-    scale = float(np.max(np.abs(wave.r_vals))) if normalize else 1.0
+    scale = float(abs(wave.r_vals).max()) if normalize else 1.0
     r_o = wave.state.r_o
     return [
         [float(r), float(r / r_o), float(up), float(um), float(rv / scale)]
@@ -211,6 +211,8 @@ def cmd_wave(opts: dict) -> tuple[dict, list, list]:
 
 
 def cmd_nodes(opts: dict) -> tuple[dict, list, list]:
+    from . import nodes
+
     wave = _build_wave(opts)
     r_o = wave.state.r_o
     header = ["radius_bohr", "radius_over_ro", "kind", "left_slope_sign",
@@ -218,13 +220,17 @@ def cmd_nodes(opts: dict) -> tuple[dict, list, list]:
     rows = [
         [nd.radius, nd.radius / r_o, nd.kind.value, nd.left_slope_sign,
          nd.right_slope_sign, nd.value_left, nd.value_right, nd.discontinuous]
-        for nd in nodes_mod.find_nodes(wave).nodes
+        for nd in nodes.find_nodes(wave).nodes
     ]
     entries = [dict(zip(header, row)) for row in rows]
     return {"atom": {"n": wave.atom.n, "z": wave.atom.z}, "nodes": entries}, header, rows
 
 
 def cmd_superpose(opts: dict) -> tuple[dict, list, list]:
+    import numpy as np
+
+    from . import nodes
+
     waves = [_build_wave(opts, n=n) for n in opts["states"]]
     t_max = opts["t_max"]
     if t_max is None:
@@ -232,8 +238,8 @@ def cmd_superpose(opts: dict) -> tuple[dict, list, list]:
     times = list(np.linspace(0.0, t_max, opts["t_samples"]))
     # nodes are tracked on the common radial domain of all states, avoiding
     # every state's excluded neighborhoods
-    track_grid = nodes_mod.common_tracking_grid(waves, samples=opts["samples"])
-    tracked = nodes_mod.track_superposition_nodes(waves, opts["weights"], times, track_grid)
+    track_grid = nodes.common_tracking_grid(waves, samples=opts["samples"])
+    tracked = nodes.track_superposition_nodes(waves, opts["weights"], times, track_grid)
     payload = {
         "atom_z": opts["z"],
         "common_r_max": track_grid.r_max,
@@ -250,7 +256,9 @@ def cmd_superpose(opts: dict) -> tuple[dict, list, list]:
 
 
 def cmd_verify(opts: dict) -> int:
-    report = verify_mod.run_suite(opts["z"], opts["n_max"])
+    from . import verify
+
+    report = verify.run_suite(opts["z"], opts["n_max"])
     _emit(dumps_json(report), opts["out"])
     return 0 if report["passed"] else 1
 
@@ -259,7 +267,7 @@ def cmd_figures(opts: dict) -> int:
     opts["out_dir"].mkdir(parents=True, exist_ok=True)
     for n in (1, 2, 3):
         wave = _build_wave(opts, n=n)
-        scale = float(np.max(np.abs(wave.r_vals)))
+        scale = float(abs(wave.r_vals).max())
         rows = [
             [float(r / wave.state.r_o), float(rv / scale)]
             for r, rv in zip(wave.grid.samples, wave.r_vals)
@@ -271,7 +279,9 @@ def cmd_figures(opts: dict) -> int:
 
 # name: (command, help, the options it reads in --help order).  A command that
 # reads --format returns (payload, csv_header, csv_rows) for main to write;
-# the others write their own output and return the exit code.
+# the others write their own output and return the exit code.  Each command
+# imports the modules it runs on its first lines, so a call loads only its own
+# chain: state and free start without numpy, and only verify loads scipy.
 _SUBCOMMANDS = {
     "state": (cmd_state, "derived scalar parameters of a bound state",
               ("z", "n", "config", "format", "out")),

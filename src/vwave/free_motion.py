@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class FreeParams:
@@ -54,6 +52,8 @@ def wave_value(x, t, p: FreeParams, phase: float = 0.0):
 
     ``phase`` = 0 gives the cosine branch; pi/2 recovers the sine branch.
     """
+    import numpy as np
+
     return p.amplitude * np.cos(p.omega * (np.asarray(x) / p.v - t) + phase)
 
 
@@ -74,11 +74,15 @@ def quantized_frequencies(time_offset: float, n_max: int) -> list[float]:
 
 def space_derivative(x, t, p: FreeParams):
     """Analytic dV/dx of the cosine wave."""
+    import numpy as np
+
     return -(p.omega / p.v) * p.amplitude * np.sin(p.omega * (np.asarray(x) / p.v - t))
 
 
 def time_derivative(x, t, p: FreeParams):
     """Analytic dV/dt of the cosine wave."""
+    import numpy as np
+
     return p.omega * p.amplitude * np.sin(p.omega * (np.asarray(x) / p.v - t))
 
 

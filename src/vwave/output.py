@@ -66,9 +66,12 @@ def _encode(obj: Any, out: list[str], level: int) -> None:
 
 
 def _escape(s: str) -> str:
-    import json
+    # json.dumps(s, ensure_ascii=False) without its per-call set-up.  Imported
+    # here so CSV output loads no json; a plain import statement, because a
+    # from-import in a function costs three times as much per call.
+    import json.encoder
 
-    return json.dumps(s, ensure_ascii=False)
+    return json.encoder.encode_basestring(s)
 
 
 def render_csv(header: list[str], rows: list[list]) -> str:

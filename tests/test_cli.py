@@ -114,6 +114,42 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def _modules_after(*argv):
+    """Modules loaded by a fresh interpreter that imports vwave.cli and runs argv."""
+    import subprocess
+    import sys
+
+    probe = (
+        f"import sys, vwave.cli\nargv = {list(argv)!r}\n"
+        "if argv:\n    vwave.cli.main(argv)\n"
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_loads_no_numpy():
+    loaded = _modules_after()
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.startswith("vwave")} == {
+        "vwave", "vwave.cli", "vwave.output", "vwave.units"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "--z", "2", "--n", "3"],
+    ["state", "--format", "csv"],
+    ["free", "--v", "1.5", "--branches", "3"],
+])
+def test_state_and_free_run_without_numpy(argv):
+    assert "numpy" not in _modules_after(*argv)
+
+
+def test_wave_loads_only_its_chain():
+    loaded = _modules_after("wave", "--z", "1", "--n", "2", "--samples", "300")
+    assert {"numpy", "vwave.series", "vwave.wronskian"} <= loaded
+    assert not {"vwave.verify", "vwave.nodes", "vwave.free_motion", "scipy"} & loaded
+
+
 def test_byte_identical_reruns(capsys):
     _, a = run_cli(capsys, "wave", "--z", "1", "--n", "2", "--samples", "300")
     _, b = run_cli(capsys, "wave", "--z", "1", "--n", "2", "--samples", "300")

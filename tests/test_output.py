@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from vwave.output import dumps_json, format_float, render_csv
+from vwave.output import _escape, dumps_json, format_float, render_csv
 
 
 def test_format_float_17_digits_roundtrip():
@@ -40,6 +40,16 @@ def test_json_parses_back():
 
     obj = {"a": [0.1, -2.0, 3], "b": {"c": True, "d": None}, "e": "t\"x"}
     assert json.loads(dumps_json(obj)) == obj
+
+
+@pytest.mark.parametrize("s", [
+    "", "plain", 'say "hi"', "back\\slash", "\x00\x01\x1f\x7f\b\f\n\r\t",
+    "r/r_o ≥ 1.5 · Ψ", "é\u2028\u2029", "\ud800 lone", "😀",
+])
+def test_escape_matches_json_dumps(s):
+    import json
+
+    assert _escape(s) == json.dumps(s, ensure_ascii=False)
 
 
 def test_csv_lf_endings_and_header():
