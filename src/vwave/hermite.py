@@ -19,7 +19,6 @@ class PiecewisePolynomial:
     def __init__(self, x: np.ndarray, coef: np.ndarray):
         self.x = x
         self.coef = coef
-        self._derivative = None
 
     def __call__(self, r):
         if isinstance(r, float):
@@ -39,12 +38,6 @@ class PiecewisePolynomial:
             res = res + c[i] * z
             z = z * s
         return res
-
-    def derivative(self) -> PiecewisePolynomial:
-        if self._derivative is None:
-            powers = np.arange(1.0, len(self.coef))[:, None]
-            self._derivative = PiecewisePolynomial(self.x, self.coef[1:] * powers)
-        return self._derivative
 
 
 def hermite(x, y, dydx) -> PiecewisePolynomial:

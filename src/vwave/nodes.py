@@ -16,7 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .wronskian import BoundWave, RadialGrid, superpose
+from .series import build_series
+from .wronskian import BoundWave, RadialGrid, superpose, u_minus, wronskian_slope
 
 
 class NodeKind(str, Enum):
@@ -44,10 +45,6 @@ class NodeReport:
         return [n.radius for n in self.nodes]
 
 
-def _sgn(x: float) -> int:
-    return 1 if x >= 0 else -1
-
-
 def _bisect_zero(f, lo: float, hi: float, abs_tol: float) -> float:
     flo = f(lo)
     while hi - lo > abs_tol:
@@ -64,63 +61,65 @@ def _bisect_zero(f, lo: float, hi: float, abs_tol: float) -> float:
 
 def _node(radius: float, vl: float, vr: float, sl: float, sr: float, disc: bool = False) -> Node:
     """A node from its one-sided values and slopes; opposite slope signs make a surface."""
-    kind = NodeKind.PLAIN_ZERO if _sgn(sl) == _sgn(sr) else NodeKind.TRAJECTORY_SURFACE
-    return Node(radius, kind, _sgn(sl), _sgn(sr), vl, vr, disc)
+    sl, sr = (1 if x >= 0 else -1 for x in (sl, sr))
+    kind = NodeKind.PLAIN_ZERO if sl == sr else NodeKind.TRAJECTORY_SURFACE
+    return Node(radius, kind, sl, sr, vl, vr, disc)
+
+
+def _refine(sol, r: np.ndarray, v: np.ndarray, i: np.ndarray, tol: float) -> np.ndarray:
+    """Zeros of u_- in the brackets [r[i], r[i+1]] across which R = v changes sign."""
+    lo, hi = r[i], r[i + 1]
+    x = lo - v[i] * (hi - lo) / (v[i + 1] - v[i])  # secant points
+    if not x.size:
+        return x
+    for _ in range(50):
+        um = u_minus(x, sol)
+        on_left = np.sign(um) == np.sign(v[i])
+        lo, hi = np.where(on_left, x, lo), np.where(on_left, hi, x)
+        nx = x - um / wronskian_slope(x, um, sol)[1]
+        nx = np.where((lo <= nx) & (nx <= hi), nx, 0.5 * (lo + hi))  # bisect if Newton leaves
+        x, step = nx, np.abs(nx - x)
+        if np.all(step <= tol):
+            return x
+    raise ValueError("Newton refinement of the zeros of u_- took over 50 steps")
 
 
 def find_nodes(wave: BoundWave) -> NodeReport:
     """Locate and classify every zero locus of the sampled R(r).
 
-    Sign changes inside smooth segments are refined on the interpolant to
-    1e-6*r_o; touches (local |R| minima below tol = 1e-9*max|R|) count too.
-    A sign change across the gap between two segments is reported at the
-    center of its exclusion zone.  At an interior zero of u_+ the gap's sides
-    are the exact values and slopes at the segment ends.  At r_o they are the
-    limits L_-+/r_o, and u_+ ~ u_+'(r_o)*s times the finite part's c1*ln|s|
-    term gives u_-(r_o + s) = L_-+*(1 + k_o^2*r_o*s*ln|s|) + O(s): the slope
-    L_-+*k_o^2*r_o*ln|s| diverges with sign -sign(L_-+).  The limits have
-    opposite signs, so r_o is a trajectory surface, the only discontinuous node.
+    One sign test over the samples brackets the zeros.  Brackets inside a
+    smooth segment are refined together on the exact u_- by Newton steps on
+    the Wronskian slope, bisecting where a step leaves its bracket, until
+    every step is at most 1e-9*r_o.  A sample where R is exactly 0 is a node
+    there.  A node's sides are R and dR/dr at the samples that bound it.  A
+    segment has no touches: u_- has at most one zero between consecutive
+    zeros of u_+ (Sturm separation) and cannot vanish with its slope.
+
+    A sign change across the gap between two segments, or a side within
+    1e-9*max|R| of zero, is a node at the center of its exclusion zone.  At
+    an interior zero of u_+ the sides are the segment ends.  At r_o they are
+    the limits L_-+/r_o, and u_+ ~ u_+'(r_o)*s times the finite part's
+    c1*ln|s| term gives u_-(r_o + s) = L_-+*(1 + k_o^2*r_o*s*ln|s|) + O(s):
+    the slope L_-+*k_o^2*r_o*ln|s| diverges with sign -sign(L_-+).  The
+    limits have opposite signs, so r_o is a trajectory surface, the only
+    discontinuous node.
     """
     if len(wave.grid.samples) < 200:
         raise ValueError("wave must be sampled on at least 200 points")
-    scale = float(np.max(np.abs(wave.r_vals)))
-    tol = 1e-9 * scale
+    r, v, dv = wave.grid.samples, wave.r_vals, wave.r_slopes
     r_o = wave.state.r_o
-    loc_tol = 1e-6 * r_o
-    segs = wave.grid.segments()
-    interps = wave.segment_interpolators()
-    spacing = float(np.median(np.diff(wave.grid.samples)))
-    delta = 2.0 * spacing
-    nodes: list[Node] = []
+    tol = 1e-9 * float(np.max(np.abs(v)))
+    right = np.cumsum([len(seg) for seg in wave.segments()])[:-1]  # first sample past each gap
+    sign = np.sign(v)
+    cross = np.setdiff1d(np.flatnonzero(sign[:-1] * sign[1:] < 0.0), right - 1)
+    # a zero on a sample that bounds a gap is left to the gap's rule below
+    on = np.setdiff1d(np.flatnonzero(sign == 0.0), np.r_[right - 1, right])
+    radii = np.r_[_refine(build_series(wave.atom), r, v, cross, 1e-9 * r_o), r[on]]
+    a, b = np.r_[cross, np.maximum(on - 1, 0)], np.r_[cross + 1, np.minimum(on + 1, len(r) - 1)]
+    nodes = [_node(*side) for side in np.c_[radii, v[a], v[b], dv[a], dv[b]].tolist()]
 
-    def probe(itp, seg, r):
-        lo, hi = float(seg[0]), float(seg[-1])
-        dv = itp.derivative()
-        vl = float(itp(max(lo, r - delta)))
-        vr = float(itp(min(hi, r + delta)))
-        sl = float(dv(max(lo, r - 0.5 * delta)))
-        sr = float(dv(min(hi, r + 0.5 * delta)))
-        return _node(r, vl, vr, sl, sr)
-
-    for seg, itp in zip(segs, interps):
-        vals = itp(seg)
-        for i in range(len(seg) - 1):
-            a, b = float(vals[i]), float(vals[i + 1])
-            if a == 0.0 or a * b >= 0.0:
-                continue
-            r_star = _bisect_zero(itp, float(seg[i]), float(seg[i + 1]), loc_tol)
-            nodes.append(probe(itp, seg, r_star))
-        absv = np.abs(vals)
-        for i in range(1, len(seg) - 1):
-            if absv[i] < tol and absv[i] <= absv[i - 1] and absv[i] <= absv[i + 1]:
-                if vals[i - 1] * vals[i + 1] > 0.0:  # no crossing: genuine touch
-                    nodes.append(probe(itp, seg, float(seg[i])))
-
-    r = wave.grid.samples
     centers = [0.5 * (lo + hi) for lo, hi in wave.grid.exclusion_zones]
-    i = 0  # index of the first sample right of the gap
-    for seg in segs[:-1]:
-        i += len(seg)
+    for i in right.tolist():
         # segments split at zone centers, so every gap holds at least one
         center = min((c for c in centers if r[i - 1] < c < r[i]), key=lambda c: abs(c - r_o))
         at_ro = bool(r[i - 1] < r_o < r[i])
@@ -129,8 +128,8 @@ def find_nodes(wave: BoundWave) -> NodeReport:
             vr = wave.right_limit_at_ro / r_o
             sl, sr = -vl, -vr
         else:
-            vl, vr = float(wave.r_vals[i - 1]), float(wave.r_vals[i])
-            sl, sr = float(wave.r_slopes[i - 1]), float(wave.r_slopes[i])
+            vl, vr = float(v[i - 1]), float(v[i])
+            sl, sr = float(dv[i - 1]), float(dv[i])
         if vl * vr >= 0.0 and not (abs(vl) < tol or abs(vr) < tol):
             continue
         nodes.append(_node(center, vl, vr, sl, sr, at_ro))

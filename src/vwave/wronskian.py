@@ -362,18 +362,23 @@ class BoundWave:
     right_limit_at_ro: float
     _interp: list = field(default_factory=list, repr=False)
 
+    def segments(self) -> tuple[np.ndarray, ...]:
+        """The grid's smooth segments; raises ValueError if one holds a single sample."""
+        segs = self.grid.segments()
+        lone = next((seg for seg in segs if len(seg) < 2), None)
+        if lone is not None:
+            raise ValueError(
+                f"state (Z={self.atom.z}, n={self.atom.n}): the grid keeps a single "
+                f"sample at r={lone[0]} between two exclusion zones, too few to "
+                f"interpolate; use at least "
+                f"{min_samples(self.grid.r_max, self.grid.exclusion_zones)} samples"
+            )
+        return segs
+
     def segment_interpolators(self):
         """Cubic Hermite interpolants of R on its exact slopes, one per smooth segment."""
         if not self._interp:
-            segs = self.grid.segments()
-            lone = next((seg for seg in segs if len(seg) < 2), None)
-            if lone is not None:
-                raise ValueError(
-                    f"state (Z={self.atom.z}, n={self.atom.n}): the grid keeps a single "
-                    f"sample at r={lone[0]} between two exclusion zones, too few to "
-                    f"interpolate; use at least "
-                    f"{min_samples(self.grid.r_max, self.grid.exclusion_zones)} samples"
-                )
+            segs = self.segments()
             cuts = np.cumsum([len(seg) for seg in segs])[:-1]
             for seg, v, d in zip(segs, np.split(self.r_vals, cuts), np.split(self.r_slopes, cuts)):
                 self._interp.append(hermite(seg, v, d))
@@ -387,18 +392,28 @@ class BoundWave:
         raise ValueError(f"r={r} outside the sampled domain or inside an exclusion zone")
 
 
+def wronskian_slope(
+    r: np.ndarray, um: np.ndarray, sol: SeriesSolution
+) -> tuple[np.ndarray, np.ndarray]:
+    """u_+ and the exact u_-' at radii r where u_- takes the values um.
+
+    From u_- = u_+ * int dr'/u_+^2: u_-' = (u_+'*u_- + 1)/u_+ left of r_o (the
+    integral from 0) and (u_+'*u_- - 1)/u_+ right of it (to infinity).
+    """
+    up = np.asarray(_u_plus_series(r, sol))
+    side = np.where(r < sol.state.r_o, 1.0, -1.0)
+    return up, (u_plus_prime(r, sol) * um + side) / up
+
+
 def sample_wave(sol: SeriesSolution, grid: RadialGrid) -> BoundWave:
     """Sample u_-, u_+, R = u_-/r and exact dR/dr on a grid respecting exclusion zones.
 
-    From u_- = u_+ * int dr'/u_+^2: u_-' = (u_+'*u_- + 1)/u_+ left of r_o (the
-    integral from 0) and (u_+'*u_- - 1)/u_+ right of it (to infinity); R' = (u_-' - R)/r.
+    u_-' comes from wronskian_slope, and R' = (u_-' - R)/r.
     """
     ev = _evaluator(sol)
     r = grid.samples
     um = ev.u_minus_many(r)
-    up = np.asarray(_u_plus_series(r, sol))
-    side = np.where(r < sol.state.r_o, 1.0, -1.0)
-    dum = (u_plus_prime(r, sol) * um + side) / up
+    up, dum = wronskian_slope(r, um, sol)
     rv = um / r
     left, right = ev.limits_at_ro()
     return BoundWave(

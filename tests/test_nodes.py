@@ -47,17 +47,35 @@ def test_ro_is_the_single_trajectory_surface(z, n, samples):
 def test_plain_zeros_match_roots_of_u_minus(n):
     from scipy.optimize import brentq
 
-    sol = build_series(AtomSpec(1, n))
-    wave = sample_wave(sol, make_radial_grid(sol, samples=1000))
-    r_o = sol.state.r_o
-    roots = []
-    for seg in wave.grid.segments():
-        vals = u_minus(seg, sol)
-        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-            roots.append(brentq(u_minus, seg[i], seg[i + 1], args=(sol,), xtol=1e-12 * r_o))
-    plain = [nd.radius for nd in find_nodes(wave).nodes if nd.kind is NodeKind.PLAIN_ZERO]
-    assert len(plain) == len(roots) == n - 1
-    assert np.max(np.abs(np.array(plain) - roots)) <= 1e-5 * r_o
+    for z in (1, 3):
+        sol = build_series(AtomSpec(z, n))
+        wave = sample_wave(sol, make_radial_grid(sol, samples=1000))
+        r_o = sol.state.r_o
+        roots = []
+        for seg in wave.grid.segments():
+            vals = u_minus(seg, sol)
+            for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+                roots.append(
+                    brentq(u_minus, seg[i], seg[i + 1], args=(sol,), xtol=1e-12 * r_o)
+                )
+        plain = [nd.radius for nd in find_nodes(wave).nodes if nd.kind is NodeKind.PLAIN_ZERO]
+        assert len(plain) == len(roots) == n - 1
+        assert np.max(np.abs(np.array(plain) - roots)) <= 1e-8 * r_o
+
+
+def test_zero_on_a_sample_is_reported_there(waves):
+    import dataclasses
+
+    wave = waves[3]
+    r = wave.grid.samples
+    i = int(np.argmin(np.abs(r - 12.064)))  # nearest the first plain zero
+    vals = wave.r_vals.copy()
+    vals[i] = 0.0
+    report = find_nodes(dataclasses.replace(wave, r_vals=vals, _interp=[]))
+    assert len(report.nodes) == 3
+    node = next(nd for nd in report.nodes if nd.radius == r[i])
+    assert node.kind is NodeKind.PLAIN_ZERO
+    assert (node.value_left, node.value_right) == (vals[i - 1], vals[i + 1])
 
 
 def test_n1_has_single_node(waves):
