@@ -281,7 +281,7 @@ def cmd_figures(opts: dict) -> int:
 # reads --format returns (payload, csv_header, csv_rows) for main to write;
 # the others write their own output and return the exit code.  Each command
 # imports the modules it runs on its first lines, so a call loads only its own
-# chain: state and free start without numpy, and only verify loads scipy.
+# chain: state and free start without numpy, and no command loads scipy.
 _SUBCOMMANDS = {
     "state": (cmd_state, "derived scalar parameters of a bound state",
               ("z", "n", "config", "format", "out")),

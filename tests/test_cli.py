@@ -109,7 +109,7 @@ def test_import_loads_no_scipy():
     import subprocess
     import sys
 
-    probe = "import sys, vwave, vwave.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    probe = "import sys, vwave, vwave.cli, vwave.verify; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
@@ -126,6 +126,10 @@ def _modules_after(*argv):
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     return set(out.stdout.splitlines()[-1].split())
+
+
+def test_verify_loads_no_scipy():
+    assert not {m for m in _modules_after("verify", "--n-max", "1") if m.startswith("scipy")}
 
 
 def test_cli_import_loads_no_numpy():

@@ -11,6 +11,7 @@ from vwave.series import build_series, interior_zeros, u_plus
 from vwave.units import AtomSpec, derive_state
 from vwave.verify import (
     SpaceTimeGrid,
+    _transfer,
     energy_closed_form,
     make_residual_grid,
     ode_residual,
@@ -103,6 +104,57 @@ def test_shoot_inward_validation():
         shoot_inward(e1, 1, 20.0, 1.0)  # r_stop left of the pole
 
 
+@pytest.mark.parametrize("args", [
+    (math.nan, 20.0, 3.0),
+    (-0.5, math.inf, 3.0),
+    (-0.5, math.nan, 3.0),
+    (-0.5, 20.0, math.nan),
+    (-math.inf, 20.0, 3.0),
+])
+def test_shoot_inward_rejects_non_finite(args):
+    energy, r_start, r_stop = args
+    with pytest.raises(ValueError, match="must be finite"):
+        shoot_inward(energy, 1, r_start, r_stop)
+
+
+@pytest.mark.parametrize("r_stop", [20.0, 25.0])
+def test_shoot_inward_rejects_outward_shooting(r_stop):
+    with pytest.raises(ValueError, match="must lie left of r_start"):
+        shoot_inward(energy_closed_form(AtomSpec(1, 1)), 1, 20.0, r_stop)
+
+
+def test_shoot_inward_start_underflow_limit():
+    # exp(-k_o*8*r_o) = exp(-16n): n = 44 starts at exp(-704), n = 45 at exp(-720),
+    # below the smallest normal float64 (exp(-708.40))
+    st = derive_state(AtomSpec(1, 44))
+    prof = shoot_inward(st.energy, 1, 8.0 * st.r_o, 1.2 * st.r_o)
+    assert np.all(np.isfinite(prof.u)) and np.all(prof.u > 0.0)
+    st = derive_state(AtomSpec(1, 45))
+    with pytest.raises(ValueError, match=r"k_o\*r_start must be at most 708\.40"):
+        shoot_inward(st.energy, 1, 8.0 * st.r_o, 1.2 * st.r_o)
+
+
+def test_shot_profile_refuses_radii_outside_its_range():
+    st = derive_state(AtomSpec(1, 2))
+    prof = shoot_inward(st.energy, 1, 8.0 * st.r_o, 1.5 * st.r_o)
+    for r in (1.4 * st.r_o, 8.1 * st.r_o, math.nan):
+        with pytest.raises(ValueError, match="radii must lie in"):
+            prof.evaluate([2.0 * st.r_o, r])
+
+
+@pytest.mark.parametrize("z", [1, 4])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_step_matrices_have_unit_determinant(z, n):
+    # u'' = -q*u is a traceless first-order system, so each step conserves the
+    # Wronskian (Liouville): every transfer matrix has determinant 1
+    st = derive_state(AtomSpec(z, n))
+    prof = shoot_inward(st.energy, z, 8.0 * st.r_o, 1.2 * st.r_o * 0.99)
+    nodes = prof.r[::-1]
+    mats = _transfer(nodes[:-1], np.diff(nodes), prof.k_o, prof.r_pole)
+    assert mats.shape == (len(nodes) - 1, 2, 2)
+    assert np.max(np.abs(np.linalg.det(mats) - 1.0)) <= 1e-12
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_shooting_matches_wronskian(solutions, waves, n):
     assert shooting_deviation(solutions[n], waves[n]) < 1e-4
@@ -115,7 +167,7 @@ def _whittaker_u_minus(n, rho):
 
 
 @pytest.mark.parametrize("z", [1, 4])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 7))
 def test_shot_profile_matches_whittaker(z, n):
     st = derive_state(AtomSpec(z, n))
     prof = shoot_inward(st.energy, z, 8.0 * st.r_o, 1.2 * st.r_o * 0.99)
