@@ -87,53 +87,34 @@ def _refine(sol, r: np.ndarray, v: np.ndarray, i: np.ndarray, tol: float) -> np.
 def find_nodes(wave: BoundWave) -> NodeReport:
     """Locate and classify every zero locus of the sampled R(r).
 
-    One sign test over the samples brackets the zeros.  Brackets inside a
-    smooth segment are refined together on the exact u_- by Newton steps on
-    the Wronskian slope, bisecting where a step leaves its bracket, until
-    every step is at most 1e-9*r_o.  A sample where R is exactly 0 is a node
-    there.  A node's sides are R and dR/dr at the samples that bound it.  A
-    segment has no touches: u_- has at most one zero between consecutive
-    zeros of u_+ (Sturm separation) and cannot vanish with its slope.
+    One sign test over the samples brackets the zeros.  Every bracket but the
+    one spanning r_o is refined, all together, on the exact u_- by Newton
+    steps on the Wronskian slope, bisecting where a step leaves its bracket,
+    until every step is at most 1e-9*r_o.  A sample where R is exactly 0 is a
+    node there.  A node's sides are R and dR/dr at the samples that bound it.
+    There are no touches: u_- has at most one zero between consecutive zeros
+    of u_+ (Sturm separation) and cannot vanish with its slope.
 
-    A sign change across the gap between two segments, or a side within
-    1e-9*max|R| of zero, is a node at the center of its exclusion zone.  At
-    an interior zero of u_+ the sides are the segment ends.  At r_o they are
-    the limits L_-+/r_o, and u_+ ~ u_+'(r_o)*s times the finite part's
-    c1*ln|s| term gives u_-(r_o + s) = L_-+*(1 + k_o^2*r_o*s*ln|s|) + O(s):
-    the slope L_-+*k_o^2*r_o*ln|s| diverges with sign -sign(L_-+).  The
-    limits have opposite signs, so r_o is a trajectory surface, the only
-    discontinuous node.
+    If the samples straddle r_o, it is a node with the limits L_-+/r_o as
+    sides: u_+ ~ u_+'(r_o)*s times the finite part's c1*ln|s| term gives
+    u_-(r_o + s) = L_-+*(1 + k_o^2*r_o*s*ln|s|) + O(s), whose slope diverges
+    with sign -sign(L_-+).  The limits have opposite signs, so r_o is a
+    trajectory surface, the only discontinuous node.
     """
     if len(wave.grid.samples) < 200:
         raise ValueError("wave must be sampled on at least 200 points")
     r, v, dv = wave.grid.samples, wave.r_vals, wave.r_slopes
     r_o = wave.state.r_o
-    tol = 1e-9 * float(np.max(np.abs(v)))
-    right = np.cumsum([len(seg) for seg in wave.segments()])[:-1]  # first sample past each gap
+    past = int(np.searchsorted(r, r_o))  # first sample right of r_o
     sign = np.sign(v)
-    cross = np.setdiff1d(np.flatnonzero(sign[:-1] * sign[1:] < 0.0), right - 1)
-    # a zero on a sample that bounds a gap is left to the gap's rule below
-    on = np.setdiff1d(np.flatnonzero(sign == 0.0), np.r_[right - 1, right])
+    cross = np.setdiff1d(np.flatnonzero(sign[:-1] * sign[1:] < 0.0), past - 1)
+    on = np.flatnonzero(sign == 0.0)
     radii = np.r_[_refine(build_series(wave.atom), r, v, cross, 1e-9 * r_o), r[on]]
     a, b = np.r_[cross, np.maximum(on - 1, 0)], np.r_[cross + 1, np.minimum(on + 1, len(r) - 1)]
     nodes = [_node(*side) for side in np.c_[radii, v[a], v[b], dv[a], dv[b]].tolist()]
-
-    centers = [0.5 * (lo + hi) for lo, hi in wave.grid.exclusion_zones]
-    for i in right.tolist():
-        # segments split at zone centers, so every gap holds at least one
-        center = min((c for c in centers if r[i - 1] < c < r[i]), key=lambda c: abs(c - r_o))
-        at_ro = bool(r[i - 1] < r_o < r[i])
-        if at_ro:
-            vl = wave.left_limit_at_ro / r_o
-            vr = wave.right_limit_at_ro / r_o
-            sl, sr = -vl, -vr
-        else:
-            vl, vr = float(v[i - 1]), float(v[i])
-            sl, sr = float(dv[i - 1]), float(dv[i])
-        if vl * vr >= 0.0 and not (abs(vl) < tol or abs(vr) < tol):
-            continue
-        nodes.append(_node(center, vl, vr, sl, sr, at_ro))
-
+    if 0 < past < len(r):
+        vl, vr = wave.left_limit_at_ro / r_o, wave.right_limit_at_ro / r_o
+        nodes.append(_node(r_o, vl, vr, -vl, -vr, True))
     nodes.sort(key=lambda n: n.radius)
     return NodeReport(nodes=tuple(nodes))
 
@@ -155,8 +136,8 @@ def common_tracking_grid(waves: list[BoundWave], samples: int = 1000) -> RadialG
     """Uniform grid on the radial domain shared by all waves.
 
     The span runs from the largest first sample to the smallest last sample
-    among the waves, and points inside any wave's excluded neighborhood are
-    dropped, so every wave can be interpolated at every grid point.
+    among the waves, and points inside the gap any wave leaves around its r_o
+    are dropped, so every wave can be interpolated at every grid point.
     """
     if not waves:
         raise ValueError("need at least one wave")
@@ -225,8 +206,8 @@ def track_superposition_nodes(
             if a == 0.0:
                 radii.append(float(rs[i]))
             elif a * b < 0.0:
-                # a sign change across an excluded neighborhood (singular
-                # locus of some state) cannot be bisected; report its center
+                # a sign change across an excluded neighborhood (some
+                # state's r_o) cannot be bisected; report its center
                 zone = next(
                     (
                         0.5 * (lo + hi)

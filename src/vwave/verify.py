@@ -370,9 +370,10 @@ def run_suite(z: int = 1, n_max: int = 3) -> dict:
 def u_minus_crossings(report: NodeReport) -> list[float]:
     """Radii where the decaying branch itself crosses zero: the report's plain zeros.
 
-    These are distinct from the zeros of u_+ (where u_- = -1/u_+' is finite
-    and nonzero); the residual grid must exclude them because the pointwise
-    residual scale vanishes there.
+    find_nodes refines each on the exact u_-.  They are distinct from the
+    zeros of u_+, ordinary points where u_- = -1/u_+' is finite and nonzero;
+    the residual grid must exclude them because the pointwise residual scale
+    vanishes there.
     """
     return [nd.radius for nd in report.nodes if nd.kind is NodeKind.PLAIN_ZERO]
 

@@ -13,9 +13,11 @@ add the subtracted parts back in closed form.  Using the antiderivative
 prescription; it reproduces the analytic second solution on both sides.
 
 At interior zeros (ordinary points of the ODE) u_+'' vanishes, so c1 = 0 and
-u_- continues smoothly through them.  At r_o the ODE coefficient has a pole,
-c1 != 0, and u_- has genuinely opposite one-sided limits -/+ 1/u_+'(r_o); no
-continuity repair is applied.
+u_- = -1/u_+'(z) continues smoothly through them; there u_+ * integral is
+0 * infinity, so near each one a Taylor step of the ODE gives u_- instead.
+Only r_o is singular: the ODE coefficient has a pole, c1 != 0, and u_- has
+genuinely opposite one-sided limits -/+ 1/u_+'(r_o); no continuity repair is
+applied.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .units import AtomSpec, StateParams
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing sample radii avoiding all singular neighborhoods."""
+    """Strictly increasing sample radii, split into smooth segments at exclusion zones."""
 
     samples: np.ndarray
     exclusion_zones: tuple[tuple[float, float], ...]
@@ -59,52 +61,41 @@ class RadialGrid:
         return self._segments
 
 
-def min_samples(r_max: float, zones: tuple[tuple[float, float], ...]) -> int:
-    """Smallest make_radial_grid sample count from which on no segment holds one sample.
-
-    The grid is k*r_max/N for k = 1..N; a segment keeps the points between
-    one zone's upper edge and the next zone's lower edge.  A sample count of
-    2*r_max/(narrowest segment) or more puts at least two points in each.
-    """
-    starts = np.array([0.0] + [hi for _, hi in zones])
-    ends = np.array([lo for lo, _ in zones] + [r_max])
-    widths = (ends - starts)[ends > starts]
-    n = np.arange(2, math.ceil(2.0 * r_max / widths.min()) + 2)[:, None]
-    h = r_max / n
-    counts = np.minimum(n, np.floor(ends / h)) - np.maximum(1, np.ceil(starts / h)) + 1
-    single = (counts == 1).any(axis=1)
-    return int(n[single][-1, 0]) + 1 if single.any() else 2
-
-
 # half-width, in units of r_o, of the neighborhood a sampled grid leaves out
-# around r_o and around every interior zero of u_+.  Wider neighborhoods hide
-# zeros of u_- from find_nodes: at 1e-2 it misses some from n = 7 on, at 0.1
-# from n = 3 (1000 samples).
+# around r_o, and of the zone around each interior zero of u_+ where the
+# evaluator takes u_- from a Taylor step instead of the direct product
 EXCLUSION = 1e-3
 
 
 def make_radial_grid(
     sol: SeriesSolution, r_max_factor: float = 3.0, samples: int = 1000
 ) -> RadialGrid:
-    """Uniform grid on (0, r_max_factor*r_o] minus EXCLUSION*r_o neighborhoods.
+    """Uniform grid k*r_max/samples, k = 1..samples, minus the EXCLUSION*r_o neighborhood of r_o.
 
-    The neighborhoods are centred on r_o and on every interior zero of u_+.
+    Raises ValueError unless at least two samples fall on each side of that
+    neighborhood; the message names the smallest sample count that works.
     """
     r_o = sol.state.r_o
     r_max = r_max_factor * r_o
-    half = EXCLUSION * r_o
-    zones = tuple(
-        (z - half, z + half) for z in sorted(interior_zeros(sol) + [r_o])
-    )
+    lo, hi = r_o - EXCLUSION * r_o, r_o + EXCLUSION * r_o
+    if not r_max > hi:
+        raise ValueError(f"r_max_factor must exceed 1 + EXCLUSION, got {r_max_factor}")
     raw = np.linspace(r_max / samples, r_max, samples)
-    keep = np.ones(len(raw), dtype=bool)
-    for lo, hi in zones:
-        keep &= ~((raw > lo) & (raw < hi))
-    return RadialGrid(samples=raw[keep], exclusion_zones=zones, r_max=r_max)
+    if min(np.count_nonzero(raw <= lo), np.count_nonzero(raw >= hi)) < 2:
+        # the second sample must reach down to lo, the second-to-last up to hi
+        need = max(math.ceil(2.0 * r_max / lo), math.ceil(r_max / (r_max - hi)))
+        raise ValueError(
+            f"state (Z={sol.atom.z}, n={sol.atom.n}): {samples} samples leave fewer than "
+            f"two on a side of r_o's neighborhood; use at least {need} samples"
+        )
+    keep = (raw <= lo) | (raw >= hi)
+    return RadialGrid(samples=raw[keep], exclusion_zones=((lo, hi),), r_max=r_max)
 
 
 # radii per u_- quadrature block: bounds the (block, quad_order) integrand arrays
 _BLOCK = 1024
+# terms of the Taylor step through an interior zone
+_ZONE_TERMS = 30
 
 
 @lru_cache(maxsize=16)
@@ -138,6 +129,7 @@ class WronskianEvaluator:
         # anchor each partial panel at its end farther from the nearest pole
         dist = np.abs(self._breaks[:, None] - np.array(self._zeros)).min(axis=1)
         self._anchor_left = dist[:-1] >= dist[1:]
+        self._edges, self._steps = self._zone_steps()
 
     # -- local pole structure ------------------------------------------------
 
@@ -197,8 +189,8 @@ class WronskianEvaluator:
         for p in self._poles:
             lo, hi = p.z - p.window, p.z + p.window
             # where a and b clip to the same window edge the two terms are
-            # identical and cancel exactly; sa/sb == 0 only if an endpoint is
-            # exactly a pole, which callers reject
+            # identical and cancel exactly; sa/sb == 0 only at a pole, which
+            # the interior zones and the r_o check keep out
             sa = np.clip(a, lo, hi) - p.z
             sb = np.clip(b, lo, hi) - p.z
             total += (-p.c2 / sb + p.c1 * np.log(np.abs(sb))) - (
@@ -271,8 +263,8 @@ class WronskianEvaluator:
         # pure-exponential estimate of the integral beyond the cutoff
         return self._raw_integrand(np.array([self._r_cut]))[0] / (2.0 * self.k_o)
 
-    def _u_minus_block(self, r: np.ndarray) -> np.ndarray:
-        """u_- at admissible radii; r < r_o integrates from 0, r > r_o to infinity."""
+    def _u_minus_direct(self, r: np.ndarray) -> np.ndarray:
+        """u_+ times the integral; r < r_o integrates from 0, r > r_o to infinity."""
         integral = np.empty_like(r)
         near = r < self._r_cut
         rn = r[near]
@@ -285,25 +277,61 @@ class WronskianEvaluator:
         integral[~near] = self._raw_integrand(r[~near]) / (2.0 * self.k_o)
         return self._u_plus(r) * integral
 
+    def _slope_direct(self, r: np.ndarray, um: np.ndarray) -> np.ndarray:
+        """u_-' = (u_+'*u_- +/- 1)/u_+, + left of r_o (integral from 0), - right."""
+        side = np.where(r < self.r_o, 1.0, -1.0)
+        return (u_plus_prime(r, self.sol) * um + side) / self._u_plus(r)
+
+    def _zone_steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Zone edges, left and right of each interior zero, and the Taylor step from each.
+
+        A zone reaches w = EXCLUSION*r_o to each side of its zero, but at most
+        0.3 of the way to the nearest of the origin, r_o and the other zeros:
+        each step stays within 0.43 of its radius of convergence, r_o - e from
+        its edge e.  The step is u(e + t) = sum_j b_j*(t/w)^j, b_0 and b_1 being
+        u_-(e) and w*u_-'(e), the rest from (r_o - r)*u'' = -k_o^2*r*u.
+        """
+        w = EXCLUSION * self.r_o
+        inner = [p for p in self._poles if p.z != self.r_o]
+        half = [min(w, p.window / 1.5) for p in inner]  # window = 0.45 * distance
+        edges = np.ravel([(p.z - h, p.z + h) for p, h in zip(inner, half)])
+        b = np.zeros((_ZONE_TERMS, len(edges)))
+        b[0] = self._u_minus_direct(edges)
+        b[1] = w * self._slope_direct(edges, b[0])
+        for j in range(_ZONE_TERMS - 2):
+            prev = b[j - 1] if j else 0.0
+            b[j + 2] = ((j + 1) * j * w * b[j + 1] - (self.k_o * w) ** 2 * (
+                edges * b[j] + w * prev)) / ((self.r_o - edges) * (j + 2) * (j + 1))
+        return edges, b.T
+
+    def _zone_step(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Which radii lie inside an interior zone, and u_-, u_-' there from the nearer edge."""
+        k = np.searchsorted(self._edges, r, side="right")
+        zone = k % 2 == 1  # past a zone's left edge, short of its right one
+        k, rz = k[zone], r[zone]
+        j = np.where(rz - self._edges[k - 1] <= self._edges[k] - rz, k - 1, k)
+        w = EXCLUSION * self.r_o
+        powers = ((rz - self._edges[j]) / w)[:, None] ** np.arange(_ZONE_TERMS)
+        b = self._steps[j]
+        du = np.vecdot(powers[:, :-1], b[:, 1:] * np.arange(1, _ZONE_TERMS)) / w
+        return zone, np.vecdot(powers, b), du
+
     # -- public surface ------------------------------------------------------
 
     def nearest_admissible(self, r: float) -> float:
-        """r itself, or a radius just outside r's 1e-9*r_o neighborhood of a zero of u_+."""
+        """r itself, or a radius just outside r's 1e-9*r_o neighborhood of r_o."""
         eps = 1e-9 * self.r_o
-        for z in self._zeros:
-            if abs(r - z) < eps:
-                # 2*eps so rounding in z + offset cannot land back inside the
-                # rejected neighborhood
-                return z + math.copysign(2.0 * eps, r - z if r != z else 1.0)
-        return r
+        if abs(r - self.r_o) >= eps:
+            return r
+        # 2*eps so rounding in r_o + offset cannot land back inside the neighborhood
+        return self.r_o + math.copysign(2.0 * eps, r - self.r_o if r != self.r_o else 1.0)
 
     def _check_admissible(self, r: np.ndarray) -> None:
-        """Reject radii at or left of 0 and within 1e-9*r_o of a zero of u_+."""
+        """Reject radii at or left of 0 and within 1e-9*r_o of r_o."""
         bad = r[r <= 0.0]
         if bad.size:
             raise ValueError(f"r must be positive, got r={bad[0]}")
-        zeros = np.array(self._zeros)
-        singular = (np.abs(r[:, None] - zeros) < 1e-9 * self.r_o).any(axis=1)
+        singular = np.abs(r - self.r_o) < 1e-9 * self.r_o
         if singular.any():
             x = float(r[singular][0])
             raise ValueError(
@@ -314,17 +342,26 @@ class WronskianEvaluator:
     def u_minus_many(self, r) -> np.ndarray:
         """The decaying branch at every radius of r, _BLOCK radii at a time.
 
-        Raises ValueError if any radius is not positive or sits on a zero of
-        u_+ (the message names the nearest admissible radius).
+        The Taylor step serves radii inside an interior zone.  Raises
+        ValueError if any radius is not positive or sits on r_o (the message
+        names the nearest admissible radius).
         """
         r = np.asarray(r, dtype=float)
         flat = r.ravel()
         out = np.empty_like(flat)
         for start in range(0, len(flat), _BLOCK):
-            block = flat[start:start + _BLOCK]
+            block, part = flat[start:start + _BLOCK], out[start:start + _BLOCK]
             self._check_admissible(block)
-            out[start:start + _BLOCK] = self._u_minus_block(block)
+            zone, u, _ = self._zone_step(block)
+            part[zone], part[~zone] = u, self._u_minus_direct(block[~zone])
         return out.reshape(r.shape)
+
+    def wronskian_slope(self, r: np.ndarray, um: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u_+ and u_-' at radii r where u_- is um; in an interior zone, the Taylor step's u_-'."""
+        zone, _, du_zone = self._zone_step(r)
+        du = np.empty_like(r)
+        du[zone], du[~zone] = du_zone, self._slope_direct(r[~zone], um[~zone])
+        return self._u_plus(r), du
 
     def u_minus(self, r: float) -> float:
         """The decaying branch at a single admissible radius."""
@@ -362,23 +399,10 @@ class BoundWave:
     right_limit_at_ro: float
     _interp: list = field(default_factory=list, repr=False)
 
-    def segments(self) -> tuple[np.ndarray, ...]:
-        """The grid's smooth segments; raises ValueError if one holds a single sample."""
-        segs = self.grid.segments()
-        lone = next((seg for seg in segs if len(seg) < 2), None)
-        if lone is not None:
-            raise ValueError(
-                f"state (Z={self.atom.z}, n={self.atom.n}): the grid keeps a single "
-                f"sample at r={lone[0]} between two exclusion zones, too few to "
-                f"interpolate; use at least "
-                f"{min_samples(self.grid.r_max, self.grid.exclusion_zones)} samples"
-            )
-        return segs
-
     def segment_interpolators(self):
         """Cubic Hermite interpolants of R on its exact slopes, one per smooth segment."""
         if not self._interp:
-            segs = self.segments()
+            segs = self.grid.segments()
             cuts = np.cumsum([len(seg) for seg in segs])[:-1]
             for seg, v, d in zip(segs, np.split(self.r_vals, cuts), np.split(self.r_slopes, cuts)):
                 self._interp.append(hermite(seg, v, d))
@@ -392,28 +416,20 @@ class BoundWave:
         raise ValueError(f"r={r} outside the sampled domain or inside an exclusion zone")
 
 
-def wronskian_slope(
-    r: np.ndarray, um: np.ndarray, sol: SeriesSolution
-) -> tuple[np.ndarray, np.ndarray]:
-    """u_+ and the exact u_-' at radii r where u_- takes the values um.
-
-    From u_- = u_+ * int dr'/u_+^2: u_-' = (u_+'*u_- + 1)/u_+ left of r_o (the
-    integral from 0) and (u_+'*u_- - 1)/u_+ right of it (to infinity).
-    """
-    up = np.asarray(_u_plus_series(r, sol))
-    side = np.where(r < sol.state.r_o, 1.0, -1.0)
-    return up, (u_plus_prime(r, sol) * um + side) / up
+def wronskian_slope(r, um, sol: SeriesSolution) -> tuple[np.ndarray, np.ndarray]:
+    """u_+ and the exact u_-' at radii r where u_- takes the values um."""
+    return _evaluator(sol).wronskian_slope(np.asarray(r, dtype=float), np.asarray(um))
 
 
 def sample_wave(sol: SeriesSolution, grid: RadialGrid) -> BoundWave:
     """Sample u_-, u_+, R = u_-/r and exact dR/dr on a grid respecting exclusion zones.
 
-    u_-' comes from wronskian_slope, and R' = (u_-' - R)/r.
+    u_-' comes from the evaluator's wronskian_slope, and R' = (u_-' - R)/r.
     """
     ev = _evaluator(sol)
     r = grid.samples
     um = ev.u_minus_many(r)
-    up, dum = wronskian_slope(r, um, sol)
+    up, dum = ev.wronskian_slope(r, um)
     rv = um / r
     left, right = ev.limits_at_ro()
     return BoundWave(

@@ -98,11 +98,12 @@ def test_verify_rejects_unchecked_n_max(capsys):
     assert "n_max must be between 1 and 3, got 10" in captured.err
 
 
-def test_nodes_reports_too_coarse_grid(capsys):
-    code = main(["nodes", "--z", "1", "--n", "20"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "(Z=1, n=20)" in captured.err and "samples" in captured.err
+def test_nodes_reports_every_node_at_n12(capsys):
+    # n - 1 plain zeros and the surface at r_o
+    assert main(["nodes", "--z", "1", "--n", "12", "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    kinds = [row.split(",")[2] for row in rows]
+    assert kinds.count("plain_zero") == 11 and kinds.count("trajectory_surface") == 1
 
 
 def test_import_loads_no_scipy():

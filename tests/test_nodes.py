@@ -43,7 +43,7 @@ def test_ro_is_the_single_trajectory_surface(z, n, samples):
     assert len(report.nodes) == n  # n - 1 plain zeros of u_- inside r_o
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_plain_zeros_match_roots_of_u_minus(n):
     from scipy.optimize import brentq
 
@@ -61,6 +61,32 @@ def test_plain_zeros_match_roots_of_u_minus(n):
         plain = [nd.radius for nd in find_nodes(wave).nodes if nd.kind is NodeKind.PLAIN_ZERO]
         assert len(plain) == len(roots) == n - 1
         assert np.max(np.abs(np.array(plain) - roots)) <= 1e-8 * r_o
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_plain_zeros_match_an_ode_solution_from_the_origin(n):
+    # u_- = u_+ * int_0^r dr'/u_+^2 is the solution that vanishes at r = 0;
+    # integrate the radial ODE u'' = -k_o^2*r/(r_o - r)*u from there
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
+    sol = build_series(AtomSpec(1, n))
+    k_o, r_o = sol.state.k_o, sol.state.r_o
+    ode = solve_ivp(
+        lambda r, y: [y[1], -k_o**2 * r / (r_o - r) * y[0]],
+        (0.0, 0.999 * r_o), [0.0, 1.0], method="DOP853", rtol=1e-12, atol=1e-14,
+        dense_output=True,
+    )
+    rs = np.linspace(0.0, 0.999 * r_o, 20001)
+    u = ode.sol(rs)[0]
+    want = [
+        brentq(lambda r: ode.sol(r)[0], rs[i], rs[i + 1], xtol=1e-12 * r_o)
+        for i in np.flatnonzero(u[:-1] * u[1:] < 0.0)
+    ]
+    report = find_nodes(sample_wave(sol, make_radial_grid(sol)))
+    plain = [nd.radius for nd in report.nodes if nd.kind is NodeKind.PLAIN_ZERO]
+    assert len(plain) == len(want) == n - 1
+    assert np.max(np.abs(np.array(plain) - want)) <= 1e-6 * r_o
 
 
 def test_zero_on_a_sample_is_reported_there(waves):
@@ -128,25 +154,6 @@ def test_too_few_samples_rejected(solutions):
     wave = sample_wave(sol, grid)
     with pytest.raises(ValueError):
         find_nodes(wave)
-
-
-def test_one_sample_segment_rejected_with_smallest_working_count():
-    from vwave.series import build_series
-    from vwave.wronskian import make_radial_grid, min_samples, sample_wave
-
-    sol = build_series(AtomSpec(1, 20))
-    grid = make_radial_grid(sol, samples=1000)
-    assert min(len(seg) for seg in grid.segments()) == 1
-    wave = sample_wave(sol, grid)
-    need = min_samples(grid.r_max, grid.exclusion_zones)
-    with pytest.raises(ValueError, match=rf"\(Z=1, n=20\).*at least {need} samples"):
-        find_nodes(wave)
-
-    def sizes(samples):
-        return [len(seg) for seg in make_radial_grid(sol, samples=samples).segments()]
-
-    assert 1 in sizes(need - 1)
-    assert all(1 not in sizes(need + k) for k in (0, 1, 7, 500))
 
 
 def test_single_state_nodes_time_invariant(waves, solutions):

@@ -8,6 +8,7 @@ import pytest
 from vwave.series import build_series, interior_zeros, u_plus, u_plus_prime
 from vwave.units import AtomSpec
 from vwave.wronskian import (
+    EXCLUSION,
     RadialGrid,
     WronskianEvaluator,
     make_radial_grid,
@@ -136,30 +137,44 @@ def test_singular_points_rejected_with_guidance():
     ev = WronskianEvaluator(sol)
     with pytest.raises(ValueError, match="nearest admissible"):
         ev.u_minus(sol.state.r_o)
-    with pytest.raises(ValueError, match="nearest admissible"):
-        ev.u_minus(6.0)
     with pytest.raises(ValueError):
         ev.u_minus(-1.0)
     # the suggested radius itself must evaluate
-    ev.u_minus(ev.nearest_admissible(6.0))
+    ev.u_minus(ev.nearest_admissible(sol.state.r_o))
+    # the interior zero of u_+ at 6 is an ordinary point
+    assert ev.u_minus(6.0) == pytest.approx(-1.0 / u_plus_prime(6.0, sol), rel=1e-10)
 
 
 def test_array_with_singular_or_nonpositive_radius_rejected():
     sol = build_series(AtomSpec(1, 2))
     ev = WronskianEvaluator(sol)
-    ok = [1.0, 5.0, 9.0]
-    for bad in (sol.state.r_o, 6.0):
-        with pytest.raises(ValueError, match="nearest admissible") as arr_err:
-            u_minus(np.array(ok + [bad]), sol)
-        with pytest.raises(ValueError) as scalar_err:
-            ev.u_minus(bad)
-        assert str(arr_err.value) == str(scalar_err.value)
+    ok = [1.0, 5.0, 6.0, 9.0]
+    with pytest.raises(ValueError, match="nearest admissible") as arr_err:
+        u_minus(np.array(ok + [sol.state.r_o]), sol)
+    with pytest.raises(ValueError) as scalar_err:
+        ev.u_minus(sol.state.r_o)
+    assert str(arr_err.value) == str(scalar_err.value)
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError, match="positive") as arr_err:
             ev.u_minus_many(np.array([bad] + ok))
         with pytest.raises(ValueError) as scalar_err:
             ev.u_minus(bad)
         assert str(arr_err.value) == str(scalar_err.value)
+    np.testing.assert_allclose(
+        u_minus(np.array(ok), sol), [ev.u_minus(r) for r in ok], rtol=1e-15, atol=0.0
+    )
+
+
+@pytest.mark.parametrize("z", [1, 3])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_u_minus_at_interior_zeros_is_minus_reciprocal_slope(z, n):
+    # u_- = u_+ * int dr'/u_+^2 is 0*inf at a zero z of u_+, where the
+    # Wronskian u_+*u_-' - u_+'*u_- = 1 leaves u_-(z) = -1/u_+'(z)
+    sol = build_series(AtomSpec(z, n))
+    zeros = np.array(interior_zeros(sol))
+    np.testing.assert_allclose(
+        u_minus(zeros, sol), -1.0 / u_plus_prime(zeros, sol), rtol=1e-10, atol=0.0
+    )
 
 
 def _u_minus_one_radius(ev, r):
@@ -199,6 +214,10 @@ def test_batched_kernel_matches_per_radius_reference(z, n):
     rs = np.concatenate(
         [make_radial_grid(sol, samples=400).samples, [1.2 * ev._r_cut, 0.999 * ev._r_cut]]
     )
+    # the reference is the direct product, which a Taylor step replaces
+    # within EXCLUSION*r_o of an interior zero of u_+
+    gap = np.abs(rs[:, None] - np.array(interior_zeros(sol))).min(axis=1, initial=np.inf)
+    rs = rs[gap >= EXCLUSION * sol.state.r_o]
     ref = np.array([_u_minus_one_radius(ev, float(r)) for r in rs])
     # same arithmetic up to the log implementation: a few ulps
     np.testing.assert_allclose(ev.u_minus_many(rs), ref, rtol=1e-14, atol=0.0)
@@ -232,9 +251,34 @@ def test_make_radial_grid_respects_zones():
     grid = make_radial_grid(sol)
     for lo, hi in grid.exclusion_zones:
         assert not np.any((grid.samples > lo) & (grid.samples < hi))
-    # zones cover r_o and the interior zero at 6
-    centers = sorted(0.5 * (lo + hi) for lo, hi in grid.exclusion_zones)
-    assert centers == pytest.approx([6.0, 8.0], abs=1e-9)
+    # one zone, around r_o; the interior zero at 6 keeps its samples
+    centers = [0.5 * (lo + hi) for lo, hi in grid.exclusion_zones]
+    assert centers == pytest.approx([8.0], abs=1e-9)
+    assert np.any(np.abs(grid.samples - 6.0) < EXCLUSION * sol.state.r_o)
+
+
+def test_make_radial_grid_names_smallest_working_sample_count():
+    sol = build_series(AtomSpec(1, 1))
+    with pytest.raises(ValueError, match=r"\(Z=1, n=1\).*at least 301 samples"):
+        make_radial_grid(sol, r_max_factor=150, samples=300)
+    grid = make_radial_grid(sol, r_max_factor=150, samples=301)
+    assert [len(seg) for seg in grid.segments()][0] == 2
+    with pytest.raises(ValueError, match="r_max_factor"):
+        make_radial_grid(sol, r_max_factor=1.0)
+
+
+@pytest.mark.parametrize("samples", [1000, 4000])
+@pytest.mark.parametrize("z", [1, 3])
+def test_sampling_raises_no_warnings(z, samples):
+    import warnings
+
+    from vwave.nodes import find_nodes
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(1, 13):
+            sol = build_series(AtomSpec(z, n))
+            find_nodes(sample_wave(sol, make_radial_grid(sol, samples=samples)))
 
 
 def test_sampled_wave_matches_pointwise_evaluation(solutions, waves):
