@@ -66,21 +66,24 @@ def _node(radius: float, vl: float, vr: float, sl: float, sr: float, disc: bool 
     return Node(radius, kind, sl, sr, vl, vr, disc)
 
 
-def _refine(sol, r: np.ndarray, v: np.ndarray, i: np.ndarray, tol: float) -> np.ndarray:
-    """Zeros of u_- in the brackets [r[i], r[i+1]] across which R = v changes sign."""
-    lo, hi = r[i], r[i + 1]
-    x = lo - v[i] * (hi - lo) / (v[i + 1] - v[i])  # secant points
+def _refine(sol, lo: np.ndarray, hi: np.ndarray, vlo: np.ndarray, vhi: np.ndarray, tol: float):
+    """Zeros of u_- in the brackets [lo, hi], across which R goes from vlo to vhi, and u_-' there.
+
+    Each slope is the one the last Newton step took, at most tol from its zero.
+    """
+    x = lo - vlo * (hi - lo) / (vhi - vlo)  # secant points
     if not x.size:
-        return x
+        return x, x
     for _ in range(50):
         um = u_minus(x, sol)
-        on_left = np.sign(um) == np.sign(v[i])
+        on_left = np.sign(um) == np.sign(vlo)
         lo, hi = np.where(on_left, x, lo), np.where(on_left, hi, x)
-        nx = x - um / wronskian_slope(x, um, sol)[1]
+        du = wronskian_slope(x, um, sol)[1]
+        nx = x - um / du
         nx = np.where((lo <= nx) & (nx <= hi), nx, 0.5 * (lo + hi))  # bisect if Newton leaves
         x, step = nx, np.abs(nx - x)
         if np.all(step <= tol):
-            return x
+            return x, du
     raise ValueError("Newton refinement of the zeros of u_- took over 50 steps")
 
 
@@ -90,10 +93,16 @@ def find_nodes(wave: BoundWave) -> NodeReport:
     One sign test over the samples brackets the zeros.  Every bracket but the
     one spanning r_o is refined, all together, on the exact u_- by Newton
     steps on the Wronskian slope, bisecting where a step leaves its bracket,
-    until every step is at most 1e-9*r_o.  A sample where R is exactly 0 is a
-    node there.  A node's sides are R and dR/dr at the samples that bound it.
-    There are no touches: u_- has at most one zero between consecutive zeros
-    of u_+ (Sturm separation) and cannot vanish with its slope.
+    until every step is at most 1e-9*r_o.  When R at the last sample left of
+    r_o and the left limit L_-/r_o differ in sign, the bracket from that
+    sample to r_o - 2e-9*r_o, with L_-/r_o as its right side, is refined
+    with them.  A sample where R is exactly 0 is a node there.  A node's
+    values are R at the sides of its bracket (at the samples next to it, for
+    a zero on a sample).  Both its slope signs are that of the exact dR/dr =
+    u_-'/r at the zero: the samples' slopes near r_o carry its logarithmic
+    divergence and would misclassify the zero next to it.  There are no
+    touches: u_- has at most one zero between consecutive zeros of u_+
+    (Sturm separation) and cannot vanish with its slope.
 
     If the samples straddle r_o, it is a node with the limits L_-+/r_o as
     sides: u_+ ~ u_+'(r_o)*s times the finite part's c1*ln|s| term gives
@@ -105,15 +114,25 @@ def find_nodes(wave: BoundWave) -> NodeReport:
         raise ValueError("wave must be sampled on at least 200 points")
     r, v, dv = wave.grid.samples, wave.r_vals, wave.r_slopes
     r_o = wave.state.r_o
+    vl, vr = wave.left_limit_at_ro / r_o, wave.right_limit_at_ro / r_o
     past = int(np.searchsorted(r, r_o))  # first sample right of r_o
+    straddle = 0 < past < len(r)
     sign = np.sign(v)
     cross = np.setdiff1d(np.flatnonzero(sign[:-1] * sign[1:] < 0.0), past - 1)
+    lo, hi, vlo, vhi = r[cross], r[cross + 1], v[cross], v[cross + 1]
+    if straddle and sign[past - 1] * vl < 0.0:  # a zero between the last sample and r_o
+        lo, hi = np.r_[lo, r[past - 1]], np.r_[hi, r_o - 2e-9 * r_o]
+        vlo, vhi = np.r_[vlo, v[past - 1]], np.r_[vhi, vl]
+    x, du = _refine(build_series(wave.atom), lo, hi, vlo, vhi, 1e-9 * r_o)
     on = np.flatnonzero(sign == 0.0)
-    radii = np.r_[_refine(build_series(wave.atom), r, v, cross, 1e-9 * r_o), r[on]]
-    a, b = np.r_[cross, np.maximum(on - 1, 0)], np.r_[cross + 1, np.minimum(on + 1, len(r) - 1)]
-    nodes = [_node(*side) for side in np.c_[radii, v[a], v[b], dv[a], dv[b]].tolist()]
-    if 0 < past < len(r):
-        vl, vr = wave.left_limit_at_ro / r_o, wave.right_limit_at_ro / r_o
+    sides = np.c_[
+        np.r_[x, r[on]],
+        np.r_[vlo, v[np.maximum(on - 1, 0)]],
+        np.r_[vhi, v[np.minimum(on + 1, len(r) - 1)]],
+        np.r_[du, dv[on]],  # dR/dr = u_-'/r where R = 0: the sign of u_-'
+    ]
+    nodes = [_node(radius, a, b, slope, slope) for radius, a, b, slope in sides.tolist()]
+    if straddle:
         nodes.append(_node(r_o, vl, vr, -vl, -vr, True))
     nodes.sort(key=lambda n: n.radius)
     return NodeReport(nodes=tuple(nodes))

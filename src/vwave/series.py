@@ -1,12 +1,17 @@
 """Terminating power-series solution of the radial equation.
 
-The growing branch is u_+(r) = exp(k_o*r) * sum_{m=1..n} a_m*(r_o - r)^m with
-coefficients from the two-term recurrence
+The growing branch is u_+(r) = exp(k_o*r) * P(s), s = r_o - r, where
+P(s) = sum_{m=1..n} a_m*s^m has coefficients from the two-term recurrence
 
     a_{m+1} = ((2*k_o*m - beta1) / ((m+1)*m)) * a_m,   a_1 = 1.
 
 Because beta1 = 2*k_o*n for a bound state, a_{n+1} vanishes and the series
-terminates after n terms.  Eigenvalues can also be found independently of the
+terminates after n terms.  Then P(s) = s*L^{(1)}_{n-1}(2*k_o*s)/n (DLMF 18.5),
+so P is evaluated in product form, a_n*s*prod_j (s - s_j), over the zeros s_j
+of that Laguerre polynomial: the eigenvalues of its Jacobi matrix (Golub and
+Welsch, Math. Comp. 23, 1969) divided by 2*k_o.  The alternating monomial sum
+loses digits as n grows; the product keeps them, and vanishes exactly at the
+zeros it is built from.  Eigenvalues can also be found independently of the
 closed form by scanning the termination condition beta1/(2*k_o) = n over E.
 """
 
@@ -22,11 +27,12 @@ from .units import AtomSpec, StateParams, derive_state
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    """Truncated series coefficients a_1..a_n of the growing branch."""
+    """Coefficients a_1..a_n of the growing branch, and the zeros s_j of P(s)/s, ascending."""
 
     atom: AtomSpec
     state: StateParams
     coeffs: tuple[float, ...]
+    roots: tuple[float, ...]
 
 
 def recurrence_step(m: int, a_m: float, k_o: float, beta1: float) -> float:
@@ -35,81 +41,50 @@ def recurrence_step(m: int, a_m: float, k_o: float, beta1: float) -> float:
 
 
 def build_series(atom: AtomSpec) -> SeriesSolution:
-    """Compute the n terminating coefficients for state (Z, n)."""
+    """Compute the n terminating coefficients and the n - 1 zeros of P(s)/s for state (Z, n)."""
     state = derive_state(atom)
     coeffs = [1.0]
     for m in range(1, atom.n):
         coeffs.append(recurrence_step(m, coeffs[-1], state.k_o, state.beta1))
-    return SeriesSolution(atom=atom, state=state, coeffs=tuple(coeffs))
-
-
-def _horner(coeffs, s: np.ndarray) -> np.ndarray:
-    """sum_m coeffs[m] * s^m by Horner's rule."""
-    acc = np.zeros_like(s)
-    for a in reversed(coeffs):
-        acc = acc * s + a
-    return acc
+    # Jacobi matrix of L^{(1)}_{n-1}: diagonal 2i + 2, off-diagonal sqrt(i*(i+1))
+    i = np.arange(atom.n - 1)
+    jacobi = np.diag(2.0 * i + 2.0) + np.diag(np.sqrt(i[1:] * (i[1:] + 1.0)), 1)
+    roots = (np.linalg.eigvalsh(jacobi, UPLO="U") / (2.0 * state.k_o)).tolist()
+    return SeriesSolution(atom=atom, state=state, coeffs=tuple(coeffs), roots=tuple(roots))
 
 
 def u_plus(r, sol: SeriesSolution):
-    """Evaluate u_+ at r (scalar or array)."""
+    """Evaluate u_+ = exp(k_o*r)*a_n*s*prod_j (s - s_j) at r (scalar or array)."""
     r = np.asarray(r, dtype=float)
     s = sol.state.r_o - r
-    # one factored-out power of s
-    out = np.exp(sol.state.k_o * r) * s * _horner(sol.coeffs, s)
+    p = sol.coeffs[-1] * s
+    for root in sol.roots:
+        p = p * (s - root)
+    out = np.exp(sol.state.k_o * r) * p
     return out if out.ndim else float(out)
 
 
 def u_plus_prime(r, sol: SeriesSolution):
-    """Analytic du_+/dr, evaluated by Horner in s = r_o - r for stability."""
+    """Analytic du_+/dr, with dP/ds carried through the product by the product rule."""
     r = np.asarray(r, dtype=float)
     s = sol.state.r_o - r
-    p = _horner(sol.coeffs, s) * s  # P(s) = sum a_m s^m
-    # dP/ds = sum m a_m s^(m-1); dP/dr = -dP/ds
-    dp = _horner([m * a for m, a in enumerate(sol.coeffs, start=1)], s)
+    p, dp = sol.coeffs[-1] * s, sol.coeffs[-1]
+    for root in sol.roots:
+        f = s - root
+        dp = dp * f + p
+        p = p * f
+    # dP/dr = -dP/ds
     out = np.exp(sol.state.k_o * r) * (sol.state.k_o * p - dp)
     return out if out.ndim else float(out)
 
 
 def interior_zeros(sol: SeriesSolution) -> list[float]:
-    """Zeros of u_+ in r strictly between 0 and r_o, excluding r_o itself.
+    """Zeros r_o - s_j of u_+ strictly between 0 and r_o, ascending; r_o itself excluded.
 
-    Sign-brackets the reduced polynomial on a uniform 1000-point s-grid, then
-    bisects to 1e-12 relative.  The coefficients alternate in sign, so there
-    are no zeros for r > r_o.
+    The zeros of L^{(1)}_{n-1} lie in (0, 4n) = (0, 2*k_o*r_o), so every s_j
+    maps into (0, r_o), and there are no zeros for r > r_o.
     """
-    r_o = sol.state.r_o
-    # g(s) = sum a_m * s^(m-1); its roots are the zeros of u_+ besides r_o
-    g = np.polynomial.Polynomial(list(sol.coeffs))
-    if len(sol.coeffs) < 2:
-        return []
-    s_grid = np.linspace(r_o / 1000, r_o * (1.0 - 0.5 / 1000), 1000)
-    vals = g(s_grid)
-    roots_s = []
-    for i in range(len(s_grid) - 1):
-        lo, hi = s_grid[i], s_grid[i + 1]
-        flo, fhi = vals[i], vals[i + 1]
-        if flo == 0.0:
-            roots_s.append(lo)
-            continue
-        if flo * fhi < 0.0:
-            roots_s.append(_bisect(g, lo, hi))
-    rs = sorted(float(r_o - s) for s in roots_s)
-    return [r for r in rs if r > 0.0]
-
-
-def _bisect(f, lo: float, hi: float) -> float:
-    flo = f(lo)
-    while hi - lo > 1e-12 * max(abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+    return [sol.state.r_o - s for s in reversed(sol.roots)]
 
 
 def termination_ratio(atom: AtomSpec) -> float:

@@ -63,7 +63,7 @@ def test_plain_zeros_match_roots_of_u_minus(n):
         assert np.max(np.abs(np.array(plain) - roots)) <= 1e-8 * r_o
 
 
-@pytest.mark.parametrize("n", [11, 12])
+@pytest.mark.parametrize("n", [11, 12, 14, 15, 20])
 def test_plain_zeros_match_an_ode_solution_from_the_origin(n):
     # u_- = u_+ * int_0^r dr'/u_+^2 is the solution that vanishes at r = 0;
     # integrate the radial ODE u'' = -k_o^2*r/(r_o - r)*u from there
@@ -83,10 +83,14 @@ def test_plain_zeros_match_an_ode_solution_from_the_origin(n):
         brentq(lambda r: ode.sol(r)[0], rs[i], rs[i + 1], xtol=1e-12 * r_o)
         for i in np.flatnonzero(u[:-1] * u[1:] < 0.0)
     ]
-    report = find_nodes(sample_wave(sol, make_radial_grid(sol)))
-    plain = [nd.radius for nd in report.nodes if nd.kind is NodeKind.PLAIN_ZERO]
-    assert len(plain) == len(want) == n - 1
-    assert np.max(np.abs(np.array(plain) - want)) <= 1e-6 * r_o
+    for samples in (1000, 4000):
+        report = find_nodes(sample_wave(sol, make_radial_grid(sol, samples=samples)))
+        plain = [nd.radius for nd in report.nodes if nd.kind is NodeKind.PLAIN_ZERO]
+        assert len(plain) == len(want) == n - 1
+        assert np.max(np.abs(np.array(plain) - want)) <= 1e-6 * r_o
+        # the zero next to r_o is plain: its slope is taken at the zero, not at the samples
+        surfaces = [nd.radius for nd in report.nodes if nd.kind is NodeKind.TRAJECTORY_SURFACE]
+        assert surfaces == [r_o]
 
 
 def test_zero_on_a_sample_is_reported_there(waves):

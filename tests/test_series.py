@@ -41,6 +41,45 @@ def test_coefficients_alternate_in_sign(z, n):
     assert all(s1 == -s2 for s1, s2 in zip(signs, signs[1:]))
 
 
+@pytest.mark.parametrize("n", range(1, 31))
+def test_coeffs_match_the_closed_form(n):
+    # a_{j+1} = (-1)^j * C(n, j+1) * (2*k_o)^j / (j! * n): P(s)/s = L^{(1)}_{n-1}(2*k_o*s)/n
+    sol = build_series(AtomSpec(1, n))
+    two_k = 2.0 * sol.state.k_o
+    want = [(-1) ** j * math.comb(n, j + 1) * two_k**j / (math.factorial(j) * n) for j in range(n)]
+    np.testing.assert_allclose(sol.coeffs, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("z", [1, 3])
+@pytest.mark.parametrize("n", range(1, 31))
+def test_u_plus_matches_the_laguerre_closed_form(z, n):
+    # u_+ = exp(k_o*r) * s * L^{(1)}_{n-1}(2*k_o*s) / n with s = r_o - r, from scipy
+    from scipy.special import eval_genlaguerre
+
+    sol = build_series(AtomSpec(z, n))
+    k_o, r_o = sol.state.k_o, sol.state.r_o
+
+    def closed_form(r):
+        s = r_o - r
+        return np.exp(k_o * r) * s * eval_genlaguerre(n - 1, 1, 2.0 * k_o * s) / n
+
+    left = np.linspace(0.0, r_o, 4001)[1:-1]
+    want = closed_form(left)
+    assert np.max(np.abs(u_plus(left, sol) - want)) <= 1e-12 * np.max(np.abs(want))
+    right = np.linspace(r_o, 4.0 * r_o, 2001)[1:]
+    np.testing.assert_allclose(u_plus(right, sol), closed_form(right), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_interior_zeros_match_the_laguerre_roots(n):
+    from scipy.special import roots_genlaguerre
+
+    sol = build_series(AtomSpec(1, n))
+    r_o = sol.state.r_o
+    want = np.sort(r_o - roots_genlaguerre(n - 1, 1)[0] / (2.0 * sol.state.k_o))
+    assert np.max(np.abs(np.array(interior_zeros(sol)) - want)) <= 1e-14 * r_o
+
+
 def test_u_plus_value_at_origin_n2():
     sol = build_series(AtomSpec(1, 2))
     # P(0) = 8 - 0.5*64 = -24
