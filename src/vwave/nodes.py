@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .series import build_series
-from .wronskian import BoundWave, RadialGrid, superpose, u_minus, wronskian_slope
+from .wronskian import BoundWave, RadialGrid, superpose, u_minus_and_slope
 
 
 class NodeKind(str, Enum):
@@ -75,10 +75,9 @@ def _refine(sol, lo: np.ndarray, hi: np.ndarray, vlo: np.ndarray, vhi: np.ndarra
     if not x.size:
         return x, x
     for _ in range(50):
-        um = u_minus(x, sol)
+        um, du = u_minus_and_slope(x, sol)
         on_left = np.sign(um) == np.sign(vlo)
         lo, hi = np.where(on_left, x, lo), np.where(on_left, hi, x)
-        du = wronskian_slope(x, um, sol)[1]
         nx = x - um / du
         nx = np.where((lo <= nx) & (nx <= hi), nx, 0.5 * (lo + hi))  # bisect if Newton leaves
         x, step = nx, np.abs(nx - x)
@@ -92,7 +91,7 @@ def find_nodes(wave: BoundWave) -> NodeReport:
 
     One sign test over the samples brackets the zeros.  Every bracket but the
     one spanning r_o is refined, all together, on the exact u_- by Newton
-    steps on the Wronskian slope, bisecting where a step leaves its bracket,
+    steps on its exact slope, bisecting where a step leaves its bracket,
     until every step is at most 1e-9*r_o.  When R at the last sample left of
     r_o and the left limit L_-/r_o differ in sign, the bracket from that
     sample to r_o - 2e-9*r_o, with L_-/r_o as its right side, is refined

@@ -64,16 +64,25 @@ def u_plus(r, sol: SeriesSolution):
     return out if out.ndim else float(out)
 
 
-def u_plus_prime(r, sol: SeriesSolution):
-    """Analytic du_+/dr, with dP/ds carried through the product by the product rule."""
-    r = np.asarray(r, dtype=float)
-    s = sol.state.r_o - r
+def product_form(s, sol: SeriesSolution, skip=None):
+    """P(s) = a_n*s*prod_j (s - s_j) and dP/ds at s, by the product rule.
+
+    With skip, a root index (or an array of them, one per point), the factor
+    s - s_skip is left out: P/(s - s_skip) without a division, finite at s_skip.
+    """
     p, dp = sol.coeffs[-1] * s, sol.coeffs[-1]
-    for root in sol.roots:
-        f = s - root
-        dp = dp * f + p
+    for j, root in enumerate(sol.roots):
+        keep = True if skip is None else skip != j
+        f = np.where(keep, s - root, 1.0)
+        dp = dp * f + keep * p
         p = p * f
-    # dP/dr = -dP/ds
+    return p, dp
+
+
+def u_plus_prime(r, sol: SeriesSolution):
+    """Analytic du_+/dr = exp(k_o*r)*(k_o*P - dP/ds), as dP/dr = -dP/ds."""
+    r = np.asarray(r, dtype=float)
+    p, dp = product_form(sol.state.r_o - r, sol)
     out = np.exp(sol.state.k_o * r) * (sol.state.k_o * p - dp)
     return out if out.ndim else float(out)
 

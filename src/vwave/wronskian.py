@@ -5,31 +5,34 @@ The second solution is
     u_-(r) = u_+(r) * { FP int_0^r dr'/u_+(r')^2      (r < r_o)
                         FP int_r^inf dr'/u_+(r')^2    (r > r_o) }
 
-The integrand has a double pole at every zero of u_+.  Around each zero z we
-subtract the principal part c2/(r'-z)^2 + c1/(r'-z) (Taylor coefficients of
-u_+^2 at z), integrate the analytic remainder with Gauss-Legendre panels, and
-add the subtracted parts back in closed form.  Using the antiderivative
--c2/(r'-z) + c1*ln|r'-z| straight through the pole is the finite-part
-prescription; it reproduces the analytic second solution on both sides.
+The integrand has a double pole at every zero z of u_+.  In a window around
+each we subtract the principal part c2/(r'-z)^2 + c1/(r'-z), integrate the
+remainder with Gauss-Legendre panels, and add the subtracted parts back in
+closed form: the antiderivative -c2/(r'-z) + c1*ln|r'-z| taken straight
+through the pole is the finite-part prescription.  Next to z the remainder
+is a power series built from the product form of u_+, so no digits cancel.
 
-At interior zeros (ordinary points of the ODE) u_+'' vanishes, so c1 = 0 and
-u_- = -1/u_+'(z) continues smoothly through them; there u_+ * integral is
-0 * infinity, so near each one a Taylor step of the ODE gives u_- instead.
-Only r_o is singular: the ODE coefficient has a pole, c1 != 0, and u_- has
-genuinely opposite one-sided limits -/+ 1/u_+'(r_o); no continuity repair is
-applied.
+At an interior zero (an ordinary point of the ODE) c1 = 0, and u_- passes
+smoothly through -1/u_+'(z).  In its window the finite part is T - c2/(r - z),
+so u_- = u_+*T - c2*q with q = u_+/(r - z) the product form without that
+zero's factor, and u_-' follows from the same terms: no 0*inf, no 0/0.  Only
+r_o is singular: the ODE coefficient has a pole, c1 != 0, and u_- has
+genuinely opposite one-sided limits -/+ 1/u_+'(r_o).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .hermite import hermite
-from .series import SeriesSolution, interior_zeros, u_plus as _u_plus_series, u_plus_prime
+from .series import (SeriesSolution, interior_zeros, product_form, u_plus as _u_plus_series,
+                     u_plus_prime)
 from .units import AtomSpec, StateParams
 
 
@@ -61,9 +64,7 @@ class RadialGrid:
         return self._segments
 
 
-# half-width, in units of r_o, of the neighborhood a sampled grid leaves out
-# around r_o, and of the zone around each interior zero of u_+ where the
-# evaluator takes u_- from a Taylor step instead of the direct product
+# half-width, in units of r_o, of the neighborhood a sampled grid leaves out around r_o
 EXCLUSION = 1e-3
 
 
@@ -94,22 +95,12 @@ def make_radial_grid(
 
 # radii per u_- quadrature block: bounds the (block, quad_order) integrand arrays
 _BLOCK = 1024
-# terms of the Taylor step through an interior zone
-_ZONE_TERMS = 30
-
-
-@lru_cache(maxsize=16)
-def _gauss_legendre(order: int):
-    return np.polynomial.legendre.leggauss(order)
-
-
-@dataclass(frozen=True)
-class _PoleData:
-    z: float
-    window: float  # half-width of the subtraction window
-    c2: float
-    c1: float
-    d1: float  # u_+'(z)
+# Within _NEAR of a window's half-width a zero's remainder series serves: each
+# |x_k| is at most 0.45*_NEAR there, and _TERMS terms reach rounding.
+_NEAR = 0.25
+_TERMS = 18
+# |u_+| beyond which u_+^2 overflows float64
+_U_PLUS_MAX = math.sqrt(sys.float_info.max)
 
 
 class WronskianEvaluator:
@@ -118,36 +109,55 @@ class WronskianEvaluator:
     def __init__(self, sol: SeriesSolution, quad_order: int = 32):
         self.sol = sol
         self.quad_order = quad_order
-        st = sol.state
-        self.k_o = st.k_o
-        self.r_o = st.r_o
-        self._zeros = sorted(interior_zeros(sol) + [st.r_o])
-        self._poles = [self._pole_data(z) for z in self._zeros]
+        self.k_o, self.r_o = sol.state.k_o, sol.state.r_o
+        if sol.coeffs[-1] == 0.0:
+            raise ValueError(f"state (Z={sol.atom.z}, n={sol.atom.n}) is out of float64 "
+                             "range: the series coefficient a_n = (-2*k_o)^(n-1)/n! underflows")
+        # refuses a state whose u_+^2 overflows before the integrand has decayed
         self._r_cut = self._find_cutoff()
-        self._breaks = self._build_breakpoints()
-        self._panel_cum, self._panel_cum_back = self._integrate_panels()
-        # anchor each partial panel at its end farther from the nearest pole
-        dist = np.abs(self._breaks[:, None] - np.array(self._zeros)).min(axis=1)
-        self._anchor_left = dist[:-1] >= dist[1:]
-        self._edges, self._steps = self._zone_steps()
+        # pure-exponential estimate of the integral beyond the cutoff
+        self._tail = self._raw_integrand(np.array([self._r_cut]))[0] / (2.0 * self.k_o)
+        self._gauss = np.polynomial.legendre.leggauss(quad_order)
+        self._pole_data()
+        self._build_panels()
 
     # -- local pole structure ------------------------------------------------
 
-    def _pole_data(self, z: float) -> _PoleData:
-        st = self.sol.state
-        d1 = float(u_plus_prime(z, self.sol))
-        if z == self.r_o:
-            # u_+'' at r_o from the ODE: the coefficient pole gives
-            # u_+'' -> k_o^2 * r_o * u_+'(r_o).
-            d2 = 0.5 * st.k_o**2 * st.r_o * d1
-        else:
-            # ordinary point: u_+'' = -Q*u_+ = 0 at the zero
-            d2 = 0.0
-        c2 = 1.0 / d1**2
-        c1 = -2.0 * d2 / d1**3
-        neighbors = [0.0] + [x for x in self._zeros if x != z]
-        window = 0.45 * min(abs(z - x) for x in neighbors)
-        return _PoleData(z=z, window=window, c2=c2, c1=c1, d1=d1)
+    def _pole_data(self) -> None:
+        """Principal parts and remainder series at the zeros of u_+, ascending, r_o last.
+
+        Near a zero z the product form gives 1/u_+^2 = c2*exp(L1*s + D)/s^2, s = r - z,
+        D = -2*sum_k (log1p(x_k) - x_k), x_k = s/(z - Z_k) over the other zeros.  The
+        residue c1 = c2*L1 is 0 at an interior zero (an ordinary point) and
+        -c2*k_o^2*r_o at r_o, from the ODE.  The remainder 1/u_+^2 - c2/s^2 - c1/s =
+        c2*(D + E(L1*s + D))/s^2, E(y) = expm1(y) - y, c2*expm1(D)/s^2 at an interior
+        zero, is summed as one power series: D's coefficients are the power sums
+        2*(-1)^j/j * sum_k (z - Z_k)^(-j), exp's follow by e_m = sum_j j*l_j*e_(m-j)/m,
+        and row j of _rem is c2*e_(j+2).
+        """
+        self._z = z = np.array(interior_zeros(self.sol) + [self.r_o])
+        self._depth = np.array(self.sol.roots[::-1] + (0.0,))  # s_j of each zero, 0 for r_o
+        self._d1 = np.array([u_plus_prime(x, self.sol) for x in z.tolist()])
+        self._c2 = 1.0 / self._d1**2
+        l1 = np.zeros(len(z))
+        l1[-1] = -self.k_o**2 * self.r_o
+        self._c1 = l1 * self._c2
+        diff = z[:, None] - z
+        np.fill_diagonal(diff, np.inf)
+        self._w = 0.45 * np.minimum(np.abs(diff).min(axis=1), z)  # subtraction windows
+        j = np.arange(1, _TERMS + 2)
+        log = 2.0 * (-1.0) ** j / j * ((1.0 / diff)[..., None] ** j).sum(axis=1)
+        log[:, 0] = l1
+        e = np.zeros((len(z), _TERMS + 2))
+        e[:, 0] = 1.0
+        for m in range(1, _TERMS + 2):
+            e[:, m] = (j[:m] * log[:, :m] * e[:, m - 1::-1]).sum(axis=1) / m
+        self._rem = (self._c2[:, None] * e[:, 2:]).T
+
+    def _offset(self, r, p):
+        """r - z_p as the product form sees it, -((r_o - r) - s_j): r - z_p itself would
+        carry the rounding of z_p = r_o - s_j, large next to the zero."""
+        return self._depth[p] - (self.r_o - r)
 
     def _find_cutoff(self) -> float:
         """Truncation radius where the integrand is 1e-16 of its value at 2*r_o."""
@@ -161,160 +171,129 @@ class WronskianEvaluator:
     # -- integrand -----------------------------------------------------------
 
     def _u_plus(self, r: np.ndarray) -> np.ndarray:
-        return np.asarray(_u_plus_series(r, self.sol))
+        """u_+ at radii r; ValueError where u_+^2 would overflow float64."""
+        with np.errstate(over="ignore"):
+            up = np.asarray(_u_plus_series(r, self.sol))
+        ok = np.ravel(np.abs(up) < _U_PLUS_MAX)
+        if not ok.all():
+            x = float(np.ravel(r)[np.argmin(ok)])
+            raise ValueError(f"state (Z={self.sol.atom.z}, n={self.sol.atom.n}) is out of float64"
+                             f" range: u_+^2 overflows at r={x:.6g} ({x / self.r_o:.4g}*r_o)")
+        return up
 
     def _raw_integrand(self, r: np.ndarray) -> np.ndarray:
         return 1.0 / self._u_plus(r) ** 2
 
-    def _regularized_integrand(self, r: np.ndarray) -> np.ndarray:
-        """1/u_+^2 minus the principal parts inside each subtraction window."""
-        g = self._raw_integrand(r)
-        for p in self._poles:
-            s = r - p.z
-            inside = np.abs(s) < p.window
-            if inside.any():
-                si = s[inside]
-                g[inside] -= p.c2 / si**2 + p.c1 / si
+    def _regularized_integrand(self, x: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """1/u_+^2 at points x, one row per panel i, less the principal part in a window.
+
+        Near the zero its remainder series gives that without cancellation; in the
+        rest of the window the difference loses at most a factor 1/(0.45*_NEAR)^2.
+        """
+        kind, p = self._kind[i], self._pole[i]
+        # rows near a zero are overwritten below, and u_+ may vanish on them
+        with np.errstate(divide="ignore", over="ignore"):
+            g = 1.0 / _u_plus_series(x, self.sol) ** 2
+        sub = np.flatnonzero(kind == 1)
+        ps = p[sub, None]
+        s = self._offset(x[sub], ps)
+        g[sub] -= self._c2[ps] / s**2 + self._c1[ps] / s
+        near = np.flatnonzero(kind == 2)
+        pn = p[near, None]
+        g[near] = polyval(self._offset(x[near], pn), self._rem[:, pn], tensor=False)
         return g
 
     def _singular_between(self, a, b) -> np.ndarray:
-        """Closed-form integral of the subtracted parts over [a, b], elementwise.
-
-        Clipped to each subtraction window and differenced pole by pole, so
-        poles whose window lies entirely outside [a, b] contribute exactly
-        zero (a global antiderivative difference would drown the tiny panel
-        sums in rounding noise).
-        """
-        total = np.zeros(np.broadcast(a, b).shape)
-        for p in self._poles:
-            lo, hi = p.z - p.window, p.z + p.window
-            # where a and b clip to the same window edge the two terms are
-            # identical and cancel exactly; sa/sb == 0 only at a pole, which
-            # the interior zones and the r_o check keep out
-            sa = np.clip(a, lo, hi) - p.z
-            sb = np.clip(b, lo, hi) - p.z
-            total += (-p.c2 / sb + p.c1 * np.log(np.abs(sb))) - (
-                -p.c2 / sa + p.c1 * np.log(np.abs(sa))
-            )
-        return total
+        """Closed-form integral of the subtracted parts over [a, b], elementwise, each
+        clipped to its window: a pole whose window lies outside [a, b] adds exactly 0,
+        where a global antiderivative difference would drown small panel sums in rounding."""
+        a, b = (np.clip(np.asarray(x)[..., None], self._z - self._w, self._z + self._w)
+                for x in (a, b))
+        p = np.arange(len(self._z))
+        sa, sb = self._offset(a, p), self._offset(b, p)  # 0 only at a pole, never asked for
+        part = -self._c2 / sb + self._c1 * np.log(np.abs(sb)) - (
+            -self._c2 / sa + self._c1 * np.log(np.abs(sa)))
+        return part.sum(axis=-1)
 
     # -- panel quadrature ----------------------------------------------------
 
-    def _build_breakpoints(self) -> np.ndarray:
+    def _build_panels(self) -> None:
+        """Gauss-Legendre panels from 0 to r_cut and their cumulative integrals.
+
+        Each zero breaks the axis at itself and _NEAR and 1 window half-width to
+        either side; long stretches are subdivided so each panel stays accurate.
+        Per panel, _pole is the nearest zero and _kind is 2 where its remainder
+        series serves, 1 in the rest of its window, 0 outside.  _cum[i] is
+        int_0^breaks[i], and _cum_back[i] = int_breaks[i]^r_cut keeps the tail
+        free of a forward difference's cancellation.
+        """
         pts = {0.0, self._r_cut}
-        for p in self._poles:
-            pts.update((p.z - p.window, p.z, p.z + p.window))
+        for z, w in zip(self._z.tolist(), self._w.tolist()):
+            pts.update((z - w, z - _NEAR * w, z, z + _NEAR * w, z + w))
         pts = sorted(pts)
-        # subdivide long stretches so a single Gauss panel stays accurate
         max_len = 1.0 / self.k_o
         out = [pts[0]]
         for a, b in zip(pts, pts[1:]):
             k = max(1, math.ceil((b - a) / max_len))
-            out.extend(a + (b - a) * i / k for i in range(1, k + 1))
-        return np.array(out)
+            out.extend([a + (b - a) * i / k for i in range(1, k)] + [b])
+        self._breaks = br = np.array(out)
+        mid, half = 0.5 * (br[1:] + br[:-1]), 0.5 * np.diff(br)
+        self._pole = np.searchsorted(0.5 * (self._z[1:] + self._z[:-1]), mid)
+        dist = np.abs(mid - self._z[self._pole]) / self._w[self._pole]
+        self._kind = np.where(dist < _NEAR, 2, np.where(dist < 1.0, 1, 0))
+        x, w = self._gauss
+        g = self._regularized_integrand(mid[:, None] + half[:, None] * x, np.arange(len(mid)))
+        panels = half * np.vecdot(g, w)
+        self._cum = np.concatenate([[0.0], np.cumsum(panels)])
+        self._cum_back = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]])
 
-    def _panel_integral(self, a: float, b: float) -> float:
-        x, w = _gauss_legendre(self.quad_order)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        return half * float(np.dot(w, self._regularized_integrand(mid + half * x)))
+    def _panels(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Panel of each radius (the last past r_cut); is it in an interior zero's window?"""
+        i = np.clip(np.searchsorted(self._breaks, r, side="right") - 1, 0, len(self._breaks) - 2)
+        return i, (self._kind[i] > 0) & (self._pole[i] < len(self._z) - 1)
 
-    def _integrate_panels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Forward and backward cumulative integrals of the regularized integrand.
+    def _evaluate(self, r: np.ndarray, slope: bool) -> tuple:
+        """u_+, u_- and, if slope, u_-' at a block of admissible radii.
 
-        forward[i] = int_0^breaks[i]; backward[i] = int_breaks[i]^r_cut.  The
-        backward sums keep deep-tail evaluations free of the catastrophic
-        cancellation a forward difference would incur.
+        u_- = u_+*I, I the finite part from 0 left of r_o and to infinity right
+        of it, and u_-' = u_+'*I +/- 1/u_+.  In the window of an interior zero z,
+        I = T - c2/(r - z): there u_- = u_+*T - c2*q with q = u_+/(r - z), and
+        u_-' = u_+'*T + u_+*T' - c2*q', T' the regularized integrand.
         """
-        panels = np.array(
-            [self._panel_integral(a, b) for a, b in zip(self._breaks, self._breaks[1:])]
-        )
-        forward = np.concatenate([[0.0], np.cumsum(panels)])
-        backward = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]])
-        return forward, backward
-
-    def _partial_panels(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Forward and backward regularized integrals to each r in [0, r_cut).
-
-        Returns (int_0^r, int_r^r_cut).  Each partial panel is one row of a
-        single (len(r), quad_order) Gauss-Legendre evaluation, anchored at
-        whichever end of r's panel sits farther from the nearest pole:
-        quadrature nodes cluster at the partial panel's endpoints, and the
-        regularized integrand loses accuracy right at a pole center (u_+ is
-        evaluated by cancellation there).
-        """
-        i = np.searchsorted(self._breaks, r, side="right") - 1
-        i = np.clip(i, 0, len(self._breaks) - 2)
-        left = self._anchor_left[i]
-        a = np.where(left, self._breaks[i], r)
-        b = np.where(left, r, self._breaks[i + 1])
-        x, w = _gauss_legendre(self.quad_order)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        g = self._regularized_integrand(mid[:, None] + half[:, None] * x)
-        # vecdot reduces each row as np.dot does one panel in _panel_integral
-        part = half * np.vecdot(g, w)
-        forward = np.where(left, self._panel_cum[i] + part, self._panel_cum[i + 1] - part)
-        backward = np.where(
-            left, self._panel_cum_back[i] - part, part + self._panel_cum_back[i + 1]
-        )
-        return forward, backward
-
-    @property
-    def _tail(self) -> float:
-        # pure-exponential estimate of the integral beyond the cutoff
-        return self._raw_integrand(np.array([self._r_cut]))[0] / (2.0 * self.k_o)
-
-    def _u_minus_direct(self, r: np.ndarray) -> np.ndarray:
-        """u_+ times the integral; r < r_o integrates from 0, r > r_o to infinity."""
-        integral = np.empty_like(r)
-        near = r < self._r_cut
-        rn = r[near]
-        forward, backward = self._partial_panels(rn)
-        inner = rn < self.r_o
-        sing = self._singular_between(
-            np.where(inner, 0.0, rn), np.where(inner, rn, self._r_cut)
-        )
-        integral[near] = np.where(inner, forward + sing, backward + sing + self._tail)
+        up = self._u_plus(r)
+        i, zone = self._panels(r)
+        p = self._pole[i]
+        # in a window the subtracted parts are summed up to its left edge e and
+        # the zero's own part, c2/(e - z) - c2/(r - z), is split off
+        b = np.where(zone, self._z[p] - self._w[p], r)
+        inner, near = r < self.r_o, r < self._r_cut
+        # the rest of r's panel toward 0 left of r_o, toward r_cut right of it:
+        # one row per radius of a single Gauss-Legendre evaluation
+        lo = np.where(inner, self._breaks[i], r)
+        hi = np.where(inner, r, self._breaks[i + 1])
+        (x, w), mid, half = self._gauss, 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)
+        part = half * np.vecdot(self._regularized_integrand(mid + half[:, None] * x, i), w)
+        integral = part + self._singular_between(
+            np.where(inner, 0.0, r), np.where(inner, b, self._r_cut))
+        integral += np.where(inner, self._cum[i], self._cum_back[i + 1] + self._tail)
         integral[~near] = self._raw_integrand(r[~near]) / (2.0 * self.k_o)
-        return self._u_plus(r) * integral
-
-    def _slope_direct(self, r: np.ndarray, um: np.ndarray) -> np.ndarray:
-        """u_-' = (u_+'*u_- +/- 1)/u_+, + left of r_o (integral from 0), - right."""
-        side = np.where(r < self.r_o, 1.0, -1.0)
-        return (u_plus_prime(r, self.sol) * um + side) / self._u_plus(r)
-
-    def _zone_steps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Zone edges, left and right of each interior zero, and the Taylor step from each.
-
-        A zone reaches w = EXCLUSION*r_o to each side of its zero, but at most
-        0.3 of the way to the nearest of the origin, r_o and the other zeros:
-        each step stays within 0.43 of its radius of convergence, r_o - e from
-        its edge e.  The step is u(e + t) = sum_j b_j*(t/w)^j, b_0 and b_1 being
-        u_-(e) and w*u_-'(e), the rest from (r_o - r)*u'' = -k_o^2*r*u.
-        """
-        w = EXCLUSION * self.r_o
-        inner = [p for p in self._poles if p.z != self.r_o]
-        half = [min(w, p.window / 1.5) for p in inner]  # window = 0.45 * distance
-        edges = np.ravel([(p.z - h, p.z + h) for p, h in zip(inner, half)])
-        b = np.zeros((_ZONE_TERMS, len(edges)))
-        b[0] = self._u_minus_direct(edges)
-        b[1] = w * self._slope_direct(edges, b[0])
-        for j in range(_ZONE_TERMS - 2):
-            prev = b[j - 1] if j else 0.0
-            b[j + 2] = ((j + 1) * j * w * b[j + 1] - (self.k_o * w) ** 2 * (
-                edges * b[j] + w * prev)) / ((self.r_o - edges) * (j + 2) * (j + 1))
-        return edges, b.T
-
-    def _zone_step(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Which radii lie inside an interior zone, and u_-, u_-' there from the nearer edge."""
-        k = np.searchsorted(self._edges, r, side="right")
-        zone = k % 2 == 1  # past a zone's left edge, short of its right one
-        k, rz = k[zone], r[zone]
-        j = np.where(rz - self._edges[k - 1] <= self._edges[k] - rz, k - 1, k)
-        w = EXCLUSION * self.r_o
-        powers = ((rz - self._edges[j]) / w)[:, None] ** np.arange(_ZONE_TERMS)
-        b = self._steps[j]
-        du = np.vecdot(powers[:, :-1], b[:, 1:] * np.arange(1, _ZONE_TERMS)) / w
-        return zone, np.vecdot(powers, b), du
+        um = up * integral
+        pz, rz = p[zone], r[zone]
+        c2 = self._c2[pz]
+        t = integral[zone] + c2 / self._offset(b[zone], pz)
+        # q = u_+/(r - z) = e*P/(s - s_j), e = -exp(k_o*r), s = r_o - r: the product
+        # without z's factor, and q' = e*(k_o*P - dP/ds) with it
+        pq, dpq = product_form(self.r_o - rz, self.sol, skip=len(self.sol.roots) - 1 - pz)
+        e = -np.exp(self.k_o * rz)
+        um[zone] = up[zone] * t - c2 * (e * pq)
+        if not slope:
+            return up, um
+        dup = u_plus_prime(r, self.sol)
+        side = np.where(inner, 1.0, -1.0)
+        du = np.divide(dup * um + side, up, out=np.empty_like(r), where=~zone)
+        dt = self._regularized_integrand(rz[:, None], i[zone])[:, 0]
+        du[zone] = dup[zone] * t + up[zone] * dt - c2 * (e * (self.k_o * pq - dpq))
+        return up, um, du
 
     # -- public surface ------------------------------------------------------
 
@@ -339,29 +318,26 @@ class WronskianEvaluator:
                 f"nearest admissible r is {self.nearest_admissible(x)}"
             )
 
+    def _evaluate_many(self, r, slope: bool) -> tuple:
+        """u_+, u_- and, if slope, u_-' at every radius of r, _BLOCK radii at a time."""
+        r = np.asarray(r, dtype=float)
+        flat = r.ravel()
+        # one array per output, so that keeping one keeps no other alive
+        out = [np.empty(len(flat)) for _ in range(3 if slope else 2)]
+        for start in range(0, len(flat), _BLOCK):
+            block = flat[start:start + _BLOCK]
+            self._check_admissible(block)
+            for x, y in zip(out, self._evaluate(block, slope)):
+                x[start:start + _BLOCK] = y
+        return tuple(x.reshape(r.shape) for x in out)
+
     def u_minus_many(self, r) -> np.ndarray:
         """The decaying branch at every radius of r, _BLOCK radii at a time.
 
-        The Taylor step serves radii inside an interior zone.  Raises
-        ValueError if any radius is not positive or sits on r_o (the message
-        names the nearest admissible radius).
+        Raises ValueError if any radius is not positive or sits on r_o (the
+        message names the nearest admissible radius).
         """
-        r = np.asarray(r, dtype=float)
-        flat = r.ravel()
-        out = np.empty_like(flat)
-        for start in range(0, len(flat), _BLOCK):
-            block, part = flat[start:start + _BLOCK], out[start:start + _BLOCK]
-            self._check_admissible(block)
-            zone, u, _ = self._zone_step(block)
-            part[zone], part[~zone] = u, self._u_minus_direct(block[~zone])
-        return out.reshape(r.shape)
-
-    def wronskian_slope(self, r: np.ndarray, um: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """u_+ and u_-' at radii r where u_- is um; in an interior zone, the Taylor step's u_-'."""
-        zone, _, du_zone = self._zone_step(r)
-        du = np.empty_like(r)
-        du[zone], du[~zone] = du_zone, self._slope_direct(r[~zone], um[~zone])
-        return self._u_plus(r), du
+        return self._evaluate_many(r, slope=False)[1]
 
     def u_minus(self, r: float) -> float:
         """The decaying branch at a single admissible radius."""
@@ -369,8 +345,7 @@ class WronskianEvaluator:
 
     def limits_at_ro(self) -> tuple[float, float]:
         """One-sided limits -/+ 1/u_+'(r_o) of u_- at r_o, from the r_o pole data."""
-        d1 = next(p.d1 for p in self._poles if p.z == self.r_o)
-        return -1.0 / d1, 1.0 / d1
+        return -1.0 / float(self._d1[-1]), 1.0 / float(self._d1[-1])
 
 
 @lru_cache(maxsize=32)
@@ -382,6 +357,11 @@ def u_minus(r, sol: SeriesSolution):
     """Decaying branch u_- at r (scalar or array), with 32-point panels."""
     out = _evaluator(sol).u_minus_many(r)
     return out if out.ndim else float(out)
+
+
+def u_minus_and_slope(r, sol: SeriesSolution) -> tuple[np.ndarray, np.ndarray]:
+    """u_- and its exact slope u_-' at radii r (an array), from one evaluation."""
+    return _evaluator(sol)._evaluate_many(r, slope=True)[1:]
 
 
 @dataclass
@@ -416,20 +396,14 @@ class BoundWave:
         raise ValueError(f"r={r} outside the sampled domain or inside an exclusion zone")
 
 
-def wronskian_slope(r, um, sol: SeriesSolution) -> tuple[np.ndarray, np.ndarray]:
-    """u_+ and the exact u_-' at radii r where u_- takes the values um."""
-    return _evaluator(sol).wronskian_slope(np.asarray(r, dtype=float), np.asarray(um))
-
-
 def sample_wave(sol: SeriesSolution, grid: RadialGrid) -> BoundWave:
     """Sample u_-, u_+, R = u_-/r and exact dR/dr on a grid respecting exclusion zones.
 
-    u_-' comes from the evaluator's wronskian_slope, and R' = (u_-' - R)/r.
+    u_-' comes with u_- from the evaluator, and R' = (u_-' - R)/r.
     """
     ev = _evaluator(sol)
     r = grid.samples
-    um = ev.u_minus_many(r)
-    up, dum = ev.wronskian_slope(r, um)
+    up, um, dum = ev._evaluate_many(r, slope=True)
     rv = um / r
     left, right = ev.limits_at_ro()
     return BoundWave(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vwave.series import build_series, interior_zeros, u_plus, u_plus_prime
+from vwave.series import build_series, interior_zeros, product_form, u_plus, u_plus_prime
 from vwave.units import AtomSpec
 from vwave.wronskian import (
     EXCLUSION,
@@ -16,6 +16,7 @@ from vwave.wronskian import (
     superpose,
     tail_decay_rate,
     u_minus,
+    u_minus_and_slope,
     wave_full,
 )
 
@@ -166,40 +167,50 @@ def test_array_with_singular_or_nonpositive_radius_rejected():
 
 
 @pytest.mark.parametrize("z", [1, 3])
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(2, 31))
 def test_u_minus_at_interior_zeros_is_minus_reciprocal_slope(z, n):
     # u_- = u_+ * int dr'/u_+^2 is 0*inf at a zero z of u_+, where the
     # Wronskian u_+*u_-' - u_+'*u_- = 1 leaves u_-(z) = -1/u_+'(z)
     sol = build_series(AtomSpec(z, n))
     zeros = np.array(interior_zeros(sol))
     np.testing.assert_allclose(
-        u_minus(zeros, sol), -1.0 / u_plus_prime(zeros, sol), rtol=1e-10, atol=0.0
+        u_minus(zeros, sol), -1.0 / u_plus_prime(zeros, sol), rtol=1e-12, atol=0.0
     )
 
 
 def _u_minus_one_radius(ev, r):
-    """Reference: the per-radius evaluation that the batched kernel replaced."""
+    """Reference: the kernel's arithmetic for one radius, with a Gauss sum of its own."""
     i = int(np.searchsorted(ev._breaks, r, side="right")) - 1
     i = min(max(i, 0), len(ev._breaks) - 2)
     a, b = float(ev._breaks[i]), float(ev._breaks[i + 1])
-    left = min(abs(a - z) for z in ev._zeros) >= min(abs(b - z) for z in ev._zeros)
-    part = ev._panel_integral(a, r) if left else ev._panel_integral(r, b)
-    forward = ev._panel_cum[i] + part if left else ev._panel_cum[i + 1] - part
-    backward = ev._panel_cum_back[i] - part if left else part + ev._panel_cum_back[i + 1]
+    # the part of the panel toward 0 left of r_o, toward r_cut right of it
+    lo, hi = (a, r) if r < ev.r_o else (r, b)
+    x, w = np.polynomial.legendre.leggauss(ev.quad_order)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    g = ev._regularized_integrand((mid + half * x)[None], np.array([i]))[0]
+    part = half * float(np.dot(w, g))
+    forward, backward = ev._cum[i] + part, part + ev._cum_back[i + 1]
 
     def singular(lo_end, hi_end):
         total = 0.0
-        for p in ev._poles:
-            lo, hi = p.z - p.window, p.z + p.window
-            sa = min(max(lo_end, lo), hi) - p.z
-            sb = min(max(hi_end, lo), hi) - p.z
+        for q, (z, wq, c2, c1) in enumerate(zip(ev._z, ev._w, ev._c2, ev._c1)):
+            sa = ev._offset(min(max(lo_end, z - wq), z + wq), q)
+            sb = ev._offset(min(max(hi_end, z - wq), z + wq), q)
             if sa != sb:
-                total += (-p.c2 / sb + p.c1 * math.log(abs(sb))) - (
-                    -p.c2 / sa + p.c1 * math.log(abs(sa))
+                total += (-c2 / sb + c1 * math.log(abs(sb))) - (
+                    -c2 / sa + c1 * math.log(abs(sa))
                 )
         return total
 
     up = u_plus(r, ev.sol)
+    p = int(ev._pole[i])
+    if ev._kind[i] and p < len(ev._z) - 1:
+        # in an interior zero's window: u_+ * (T - c2/(r - z)) = u_+*T - c2*q, with
+        # q = u_+/(r - z) = -exp(k_o*r)*P/(s - s_j) the product without that zero's factor
+        edge = float(ev._z[p] - ev._w[p])
+        t = forward + singular(0.0, edge) + ev._c2[p] / ev._offset(edge, p)
+        pq = float(product_form(ev.r_o - r, ev.sol, skip=len(ev.sol.roots) - 1 - p)[0])
+        return up * t + ev._c2[p] * math.exp(ev.k_o * r) * pq
     if r < ev.r_o:
         return up * (forward + singular(0.0, r))
     if r >= ev._r_cut:
@@ -211,16 +222,62 @@ def _u_minus_one_radius(ev, r):
 def test_batched_kernel_matches_per_radius_reference(z, n):
     sol = build_series(AtomSpec(z, n))
     ev = WronskianEvaluator(sol)
-    rs = np.concatenate(
-        [make_radial_grid(sol, samples=400).samples, [1.2 * ev._r_cut, 0.999 * ev._r_cut]]
-    )
-    # the reference is the direct product, which a Taylor step replaces
-    # within EXCLUSION*r_o of an interior zero of u_+
-    gap = np.abs(rs[:, None] - np.array(interior_zeros(sol))).min(axis=1, initial=np.inf)
-    rs = rs[gap >= EXCLUSION * sol.state.r_o]
+    zeros = np.array(interior_zeros(sol))
+    rs = np.concatenate([
+        make_radial_grid(sol, samples=400).samples,
+        [1.2 * ev._r_cut, 0.999 * ev._r_cut],
+        # at each interior zero, and inside its window
+        zeros, zeros * (1.0 + 1e-9), zeros + 0.5 * EXCLUSION * sol.state.r_o,
+    ])
     ref = np.array([_u_minus_one_radius(ev, float(r)) for r in rs])
-    # same arithmetic up to the log implementation: a few ulps
-    np.testing.assert_allclose(ev.u_minus_many(rs), ref, rtol=1e-14, atol=0.0)
+    got = ev.u_minus_many(rs)
+    zone = ev._panels(rs)[1]
+    # same arithmetic up to the log and exp implementations: a few ulps, in a
+    # window of the two terms u_+*T and c2*q whose difference u_- is
+    np.testing.assert_allclose(got[~zone], ref[~zone], rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(got[zone], ref[zone], rtol=0.0, atol=1e-15 * np.max(np.abs(ref)))
+
+
+def _outward_shot(sol, r):
+    """u and u' at radii r < 0.999*r_o, from u = 0, u' = 1/u_+(0) at the origin.
+
+    Chains the battery's Taylor transfer matrices outward in steps of
+    min(1/k_o, (r_o - r)/4), and takes one more step from the node at or
+    left of each radius.  It shares only u_+(0) with the Wronskian construction.
+    """
+    from vwave.verify import _transfer
+
+    k_o, r_o = sol.state.k_o, sol.state.r_o
+    nodes = [0.0]
+    while nodes[-1] < 0.999 * r_o:
+        nodes.append(min(0.999 * r_o, nodes[-1] + min(1.0 / k_o, (r_o - nodes[-1]) / 4.0)))
+    nodes = np.array(nodes)
+    y = [np.array([0.0, 1.0 / u_plus(0.0, sol)])]
+    for m in _transfer(nodes[:-1], np.diff(nodes), k_o, r_o):
+        y.append(m @ y[-1])
+    y = np.array(y)
+    j = np.searchsorted(nodes, r, side="right") - 1
+    out = y[j]
+    tau = r - nodes[j]
+    step = tau > 0.0
+    mats = _transfer(nodes[j[step]], tau[step], k_o, r_o)
+    out[step] = np.einsum("kij,kj->ki", mats, y[j[step]])
+    return out[:, 0], out[:, 1]
+
+
+@pytest.mark.parametrize("z", [1, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 6, 10, 20, 30])
+def test_u_minus_left_of_ro_matches_an_outward_shot(z, n):
+    sol = build_series(AtomSpec(z, n))
+    r_o = sol.state.r_o
+    grid = make_radial_grid(sol).samples
+    zeros = np.array(interior_zeros(sol))
+    near = zeros[:, None] + r_o * np.array([-1e-8, -1e-11, 0.0, 1e-11, 1e-8])
+    r = np.sort(np.concatenate([grid[grid <= 0.999 * r_o], near.ravel()]))
+    u, du = _outward_shot(sol, r)
+    um, dum = u_minus_and_slope(r, sol)
+    assert np.max(np.abs(um - u)) <= 1e-13 * np.max(np.abs(u))
+    assert np.max(np.abs(dum - du)) <= 1e-12 * np.max(np.abs(du))
 
 
 def test_array_call_matches_one_point_calls_across_blocks(solutions):
@@ -276,9 +333,15 @@ def test_sampling_raises_no_warnings(z, samples):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for n in range(1, 13):
+        for n in [*range(1, 13), 20, 26, 30, 35, 38]:
             sol = build_series(AtomSpec(z, n))
             find_nodes(sample_wave(sol, make_radial_grid(sol, samples=samples)))
+        # past that u_+^2 overflows float64 on the grid, and at n = 100 (Z = 1)
+        # the coefficient a_n underflows: refused, not evaluated
+        for n in (39, 40, 100):
+            sol = build_series(AtomSpec(z, n))
+            with pytest.raises(ValueError, match=rf"\(Z={z}, n={n}\) is out of float64 range"):
+                sample_wave(sol, make_radial_grid(sol, samples=samples))
 
 
 def test_sampled_wave_matches_pointwise_evaluation(solutions, waves):
