@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .series import build_series
+from .series import build_series, interior_zeros, u_plus_prime
 from .wronskian import BoundWave, RadialGrid, superpose, u_minus_and_slope
 
 
@@ -72,8 +72,6 @@ def _refine(sol, lo: np.ndarray, hi: np.ndarray, vlo: np.ndarray, vhi: np.ndarra
     Each slope is the one the last Newton step took, at most tol from its zero.
     """
     x = lo - vlo * (hi - lo) / (vhi - vlo)  # secant points
-    if not x.size:
-        return x, x
     for _ in range(50):
         um, du = u_minus_and_slope(x, sol)
         on_left = np.sign(um) == np.sign(vlo)
@@ -89,19 +87,18 @@ def _refine(sol, lo: np.ndarray, hi: np.ndarray, vlo: np.ndarray, vhi: np.ndarra
 def find_nodes(wave: BoundWave) -> NodeReport:
     """Locate and classify every zero locus of the sampled R(r).
 
-    One sign test over the samples brackets the zeros.  Every bracket but the
-    one spanning r_o is refined, all together, on the exact u_- by Newton
-    steps on its exact slope, bisecting where a step leaves its bracket,
-    until every step is at most 1e-9*r_o.  When R at the last sample left of
-    r_o and the left limit L_-/r_o differ in sign, the bracket from that
-    sample to r_o - 2e-9*r_o, with L_-/r_o as its right side, is refined
-    with them.  A sample where R is exactly 0 is a node there.  A node's
-    values are R at the sides of its bracket (at the samples next to it, for
-    a zero on a sample).  Both its slope signs are that of the exact dR/dr =
-    u_-'/r at the zero: the samples' slopes near r_o carry its logarithmic
-    divergence and would misclassify the zero next to it.  There are no
-    touches: u_- has at most one zero between consecutive zeros of u_+
-    (Sturm separation) and cannot vanish with its slope.
+    The brackets come from the state, not from the samples: u_-(0) = 0, and by
+    Sturm separation u_- has exactly one zero between consecutive zeros of
+    u_+, z_1 < ... < z_(n-1), then r_o.  Their sides are R(z_j) =
+    -1/(z_j*u_+'(z_j)) and L_-/r_o at r_o - 2e-9*r_o, and must alternate in
+    sign (else ValueError).  All are refined at once by Newton steps on the
+    exact u_- and u_-', bisecting where a step leaves its bracket, until every
+    step is at most 1e-9*r_o.  Zeros outside the sampled span are not
+    reported.  A node's values are R at the samples that bound it, L_-/r_o
+    for a next sample past r_o; a bounding sample where R is exactly 0 is the
+    node, between its neighbours.  Both slope signs are that of the exact
+    dR/dr = u_-'/r at the zero: the samples' slopes near r_o carry its
+    logarithmic divergence.  u_- cannot vanish with its slope: no touches.
 
     If the samples straddle r_o, it is a node with the limits L_-+/r_o as
     sides: u_+ ~ u_+'(r_o)*s times the finite part's c1*ln|s| term gives
@@ -111,27 +108,24 @@ def find_nodes(wave: BoundWave) -> NodeReport:
     """
     if len(wave.grid.samples) < 200:
         raise ValueError("wave must be sampled on at least 200 points")
-    r, v, dv = wave.grid.samples, wave.r_vals, wave.r_slopes
+    r, v = wave.grid.samples, wave.r_vals
     r_o = wave.state.r_o
     vl, vr = wave.left_limit_at_ro / r_o, wave.right_limit_at_ro / r_o
-    past = int(np.searchsorted(r, r_o))  # first sample right of r_o
-    straddle = 0 < past < len(r)
-    sign = np.sign(v)
-    cross = np.setdiff1d(np.flatnonzero(sign[:-1] * sign[1:] < 0.0), past - 1)
-    lo, hi, vlo, vhi = r[cross], r[cross + 1], v[cross], v[cross + 1]
-    if straddle and sign[past - 1] * vl < 0.0:  # a zero between the last sample and r_o
-        lo, hi = np.r_[lo, r[past - 1]], np.r_[hi, r_o - 2e-9 * r_o]
-        vlo, vhi = np.r_[vlo, v[past - 1]], np.r_[vhi, vl]
-    x, du = _refine(build_series(wave.atom), lo, hi, vlo, vhi, 1e-9 * r_o)
-    on = np.flatnonzero(sign == 0.0)
-    sides = np.c_[
-        np.r_[x, r[on]],
-        np.r_[vlo, v[np.maximum(on - 1, 0)]],
-        np.r_[vhi, v[np.minimum(on + 1, len(r) - 1)]],
-        np.r_[du, dv[on]],  # dR/dr = u_-'/r where R = 0: the sign of u_-'
-    ]
-    nodes = [_node(radius, a, b, slope, slope) for radius, a, b, slope in sides.tolist()]
-    if straddle:
+    sol = build_series(wave.atom)
+    edges = np.r_[interior_zeros(sol), r_o - 2e-9 * r_o]
+    sides = np.r_[-1.0 / (edges[:-1] * u_plus_prime(edges[:-1], sol)), vl]
+    if np.any(np.sign(sides[:-1]) * np.sign(sides[1:]) >= 0.0):
+        raise ValueError(f"state (Z={wave.atom.z}, n={wave.atom.n}): the values of R at "
+                         "the zeros of u_+ and r_o do not alternate in sign")
+    x, du = _refine(sol, edges[:-1], edges[1:], sides[:-1], sides[1:], 1e-9 * r_o)
+    seen = (x >= r[0]) & (x <= r[-1])
+    k = np.clip(np.searchsorted(r, x[seen]), 1, len(r) - 1)  # r[k - 1] < x <= r[k]
+    m = np.where(v[k - 1] == 0.0, k - 1, k)
+    at = v[m] == 0.0
+    left, right = np.clip([np.where(at, m - 1, k - 1), np.where(at, m + 1, k)], 0, len(r) - 1)
+    rows = np.c_[np.where(at, r[m], x[seen]), v[left], np.where(r[right] > r_o, vl, v[right])]
+    nodes = [_node(*row, slope, slope) for row, slope in zip(rows.tolist(), du[seen].tolist())]
+    if 0 < np.searchsorted(r, r_o) < len(r):  # the samples straddle r_o
         nodes.append(_node(r_o, vl, vr, -vl, -vr, True))
     nodes.sort(key=lambda n: n.radius)
     return NodeReport(nodes=tuple(nodes))
@@ -226,25 +220,11 @@ def track_superposition_nodes(
             elif a * b < 0.0:
                 # a sign change across an excluded neighborhood (some
                 # state's r_o) cannot be bisected; report its center
-                zone = next(
-                    (
-                        0.5 * (lo + hi)
-                        for lo, hi in radial_grid.exclusion_zones
-                        if rs[i] <= lo and hi <= rs[i + 1]
-                    ),
-                    None,
-                )
-                if zone is not None:
-                    radii.append(zone)
-                    continue
-                radii.append(
-                    _bisect_zero(
-                        lambda r, _t=t: superpose(waves, weights, r, _t),
-                        float(rs[i]),
-                        float(rs[i + 1]),
-                        1e-8 * r_o_ref,
-                    )
-                )
+                zone = [0.5 * (lo + hi) for lo, hi in radial_grid.exclusion_zones
+                        if rs[i] <= lo and hi <= rs[i + 1]]
+                radii.append(zone[0] if zone else _bisect_zero(
+                    lambda r, _t=t: superpose(waves, weights, r, _t),
+                    float(rs[i]), float(rs[i + 1]), 1e-8 * r_o_ref))
         slices.append(TimeSlice(t=t, radii=tuple(radii), degenerate=False))
 
     tracks: list[list[tuple[float, float]]] = []

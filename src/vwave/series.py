@@ -46,6 +46,10 @@ def build_series(atom: AtomSpec) -> SeriesSolution:
     coeffs = [1.0]
     for m in range(1, atom.n):
         coeffs.append(recurrence_step(m, coeffs[-1], state.k_o, state.beta1))
+    # a state whose a_n underflows is refused before its Jacobi matrix is formed
+    if coeffs[-1] == 0.0:
+        raise ValueError(f"state (Z={atom.z}, n={atom.n}) is out of float64 range: "
+                         "the series coefficient a_n = (-2*k_o)^(n-1)/n! underflows")
     # Jacobi matrix of L^{(1)}_{n-1}: diagonal 2i + 2, off-diagonal sqrt(i*(i+1))
     i = np.arange(atom.n - 1)
     jacobi = np.diag(2.0 * i + 2.0) + np.diag(np.sqrt(i[1:] * (i[1:] + 1.0)), 1)
@@ -128,8 +132,7 @@ def quantization_scan(z: int, e_lo: float, e_hi: float) -> list[tuple[int, float
     nu_lo = quantization_index(e_lo, z)
     nu_hi = quantization_index(e_hi, z)
     out = []
-    n = math.floor(nu_lo) + 1
-    while n < nu_hi:
+    for n in range(math.floor(nu_lo) + 1, math.ceil(nu_hi)):
         lo, hi = e_lo, e_hi
         # quantization_index is monotonically increasing in E.
         while (hi - lo) > 1e-10 * abs(lo):
@@ -139,5 +142,4 @@ def quantization_scan(z: int, e_lo: float, e_hi: float) -> list[tuple[int, float
             else:
                 hi = mid
         out.append((n, 0.5 * (lo + hi)))
-        n += 1
     return out

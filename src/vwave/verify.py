@@ -299,16 +299,14 @@ def shooting_deviation(sol, wave) -> float:
     return float(np.max(np.abs(shot_n - wron_n) / np.abs(wron_n)))
 
 
-# Largest n the battery checks.  From n = 4 on, honest numbers exceed the
-# thresholds, for two causes:
-# - the u_+ residual reads 1.28e-6, 2.26e-6 and 3.75e-6 (threshold 1e-6) at
-#   n = 4..6.  That is the 3-point stencil's own truncation at 4000 points
-#   per r_o: the order estimate is 1.98, 2.00 and 2.00, and at n = 4 the
-#   residual falls to 3.17e-7 and 7.8e-8 at 8000 and 16000 points per r_o.
-# - the shooting comparison reads 9.4e-9, 3.65e-6 and 4.725e-4 (threshold
-#   1e-4) at n = 4..6.  That is u_-'s own error in its tail past r_cut: the
-#   Taylor-step shooting reference agrees with Whittaker's W to 3.7e-15 there
-#   (6.2e-12 at n = 1).
+# Largest n the battery checks.  From n = 4 on, the u_+ residual exceeds its
+# threshold on honest numbers: it reads 1.28e-6, 2.26e-6 and 3.75e-6
+# (threshold 1e-6) at n = 4..6.  That is the 3-point stencil's own truncation
+# at 4000 points per r_o: the order estimate is 1.98, 2.00 and 2.00, and at
+# n = 4 the residual falls to 3.17e-7 and 7.8e-8 at 8000 and 16000 points per
+# r_o.  The shooting comparison is not a cause: with the Gauss-Laguerre tail it
+# reads 4.3e-14 to 8.8e-14 (threshold 1e-4) at n = 4..10, and 6.2e-12 at
+# n = 1, where that is the Taylor-step shot's own distance from Whittaker's W.
 SUITE_N_MAX = 3
 
 

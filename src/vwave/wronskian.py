@@ -18,6 +18,10 @@ so u_- = u_+*T - c2*q with q = u_+/(r - z) the product form without that
 zero's factor, and u_-' follows from the same terms: no 0*inf, no 0/0.  Only
 r_o is singular: the ODE coefficient has a pole, c1 != 0, and u_- has
 genuinely opposite one-sided limits -/+ 1/u_+'(r_o).
+
+The panels end at r_t = r_o + 3/k_o.  From there on, r' = r + t/(2*k_o) makes
+the integral to infinity a Gauss-Laguerre sum, with P = exp(-k_o*r)*u_+:
+u_- = exp(-k_o*r)*P(r)/(2*k_o) * sum_j w_j/P(r + t_j/(2*k_o))^2.  No cutoff.
 """
 
 from __future__ import annotations
@@ -81,16 +85,17 @@ def make_radial_grid(
     lo, hi = r_o - EXCLUSION * r_o, r_o + EXCLUSION * r_o
     if not r_max > hi:
         raise ValueError(f"r_max_factor must exceed 1 + EXCLUSION, got {r_max_factor}")
-    raw = np.linspace(r_max / samples, r_max, samples)
-    if min(np.count_nonzero(raw <= lo), np.count_nonzero(raw >= hi)) < 2:
+    # sides are decided in rho = r/r_o, free of r_o's rounding; an edge sample snaps to lo or hi
+    rho = np.arange(1, samples + 1) * r_max_factor / samples
+    left, right = rho <= 1.0 - EXCLUSION, rho >= 1.0 + EXCLUSION
+    if min(np.count_nonzero(left), np.count_nonzero(right)) < 2:
         # the second sample must reach down to lo, the second-to-last up to hi
         need = max(math.ceil(2.0 * r_max / lo), math.ceil(r_max / (r_max - hi)))
-        raise ValueError(
-            f"state (Z={sol.atom.z}, n={sol.atom.n}): {samples} samples leave fewer than "
-            f"two on a side of r_o's neighborhood; use at least {need} samples"
-        )
-    keep = (raw <= lo) | (raw >= hi)
-    return RadialGrid(samples=raw[keep], exclusion_zones=((lo, hi),), r_max=r_max)
+        raise ValueError(f"state (Z={sol.atom.z}, n={sol.atom.n}): {samples} samples leave fewer"
+                         f" than two on a side of r_o's neighborhood; use at least {need} samples")
+    raw = np.linspace(r_max / samples, r_max, samples)
+    r = np.where(left, np.minimum(raw, lo), np.maximum(raw, hi))[left | right]
+    return RadialGrid(samples=r, exclusion_zones=((lo, hi),), r_max=r_max)
 
 
 # radii per u_- quadrature block: bounds the (block, quad_order) integrand arrays
@@ -101,6 +106,16 @@ _NEAR = 0.25
 _TERMS = 18
 # |u_+| beyond which u_+^2 overflows float64
 _U_PLUS_MAX = math.sqrt(sys.float_info.max)
+# The panels end at r_t = r_o + _TAIL_START/k_o; from there a _LAGUERRE-node
+# Gauss-Laguerre sum reaches rounding (a start of 1/k_o leaves 1.6e-9).
+_TAIL_START = 3.0
+_LAGUERRE = 40
+
+
+@lru_cache(maxsize=None)
+def _laguerre() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Laguerre nodes and weights, built once per process on first use."""
+    return np.polynomial.laguerre.laggauss(_LAGUERRE)
 
 
 class WronskianEvaluator:
@@ -110,13 +125,10 @@ class WronskianEvaluator:
         self.sol = sol
         self.quad_order = quad_order
         self.k_o, self.r_o = sol.state.k_o, sol.state.r_o
-        if sol.coeffs[-1] == 0.0:
-            raise ValueError(f"state (Z={sol.atom.z}, n={sol.atom.n}) is out of float64 "
-                             "range: the series coefficient a_n = (-2*k_o)^(n-1)/n! underflows")
-        # refuses a state whose u_+^2 overflows before the integrand has decayed
-        self._r_cut = self._find_cutoff()
-        # pure-exponential estimate of the integral beyond the cutoff
-        self._tail = self._raw_integrand(np.array([self._r_cut]))[0] / (2.0 * self.k_o)
+        self._r_t = self.r_o + _TAIL_START / self.k_o
+        # int_{r_t}^inf dr'/u_+^2 = u_-(r_t)/u_+(r_t)
+        rt = np.array([self._r_t])
+        self._tail_rt = self._evaluate_tail(rt, False)[0][0] / _u_plus_series(self._r_t, sol)
         self._gauss = np.polynomial.legendre.leggauss(quad_order)
         self._pole_data()
         self._build_panels()
@@ -159,15 +171,6 @@ class WronskianEvaluator:
         carry the rounding of z_p = r_o - s_j, large next to the zero."""
         return self._depth[p] - (self.r_o - r)
 
-    def _find_cutoff(self) -> float:
-        """Truncation radius where the integrand is 1e-16 of its value at 2*r_o."""
-        ref = self._raw_integrand(np.array([2.0 * self.r_o]))[0]
-        step = 0.5 / self.k_o
-        r = 2.0 * self.r_o
-        while self._raw_integrand(np.array([r]))[0] > 1e-16 * ref:
-            r += step
-        return r
-
     # -- integrand -----------------------------------------------------------
 
     def _u_plus(self, r: np.ndarray) -> np.ndarray:
@@ -180,9 +183,6 @@ class WronskianEvaluator:
             raise ValueError(f"state (Z={self.sol.atom.z}, n={self.sol.atom.n}) is out of float64"
                              f" range: u_+^2 overflows at r={x:.6g} ({x / self.r_o:.4g}*r_o)")
         return up
-
-    def _raw_integrand(self, r: np.ndarray) -> np.ndarray:
-        return 1.0 / self._u_plus(r) ** 2
 
     def _regularized_integrand(self, x: np.ndarray, i: np.ndarray) -> np.ndarray:
         """1/u_+^2 at points x, one row per panel i, less the principal part in a window.
@@ -218,16 +218,16 @@ class WronskianEvaluator:
     # -- panel quadrature ----------------------------------------------------
 
     def _build_panels(self) -> None:
-        """Gauss-Legendre panels from 0 to r_cut and their cumulative integrals.
+        """Gauss-Legendre panels from 0 to r_t and their cumulative integrals.
 
         Each zero breaks the axis at itself and _NEAR and 1 window half-width to
         either side; long stretches are subdivided so each panel stays accurate.
         Per panel, _pole is the nearest zero and _kind is 2 where its remainder
         series serves, 1 in the rest of its window, 0 outside.  _cum[i] is
-        int_0^breaks[i], and _cum_back[i] = int_breaks[i]^r_cut keeps the tail
-        free of a forward difference's cancellation.
+        int_0^breaks[i], and _cum_back[i] = int_breaks[i]^r_t keeps the right
+        side free of a forward difference's cancellation.
         """
-        pts = {0.0, self._r_cut}
+        pts = {0.0, self._r_t}
         for z, w in zip(self._z.tolist(), self._w.tolist()):
             pts.update((z - w, z - _NEAR * w, z, z + _NEAR * w, z + w))
         pts = sorted(pts)
@@ -248,12 +248,12 @@ class WronskianEvaluator:
         self._cum_back = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]])
 
     def _panels(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Panel of each radius (the last past r_cut); is it in an interior zero's window?"""
-        i = np.clip(np.searchsorted(self._breaks, r, side="right") - 1, 0, len(self._breaks) - 2)
+        """Panel of each radius in (0, r_t); is it in an interior zero's window?"""
+        i = np.searchsorted(self._breaks, r, side="right") - 1
         return i, (self._kind[i] > 0) & (self._pole[i] < len(self._z) - 1)
 
     def _evaluate(self, r: np.ndarray, slope: bool) -> tuple:
-        """u_+, u_- and, if slope, u_-' at a block of admissible radii.
+        """u_- and, if slope, u_-' at a block of admissible radii below r_t.
 
         u_- = u_+*I, I the finite part from 0 left of r_o and to infinity right
         of it, and u_-' = u_+'*I +/- 1/u_+.  In the window of an interior zero z,
@@ -266,17 +266,16 @@ class WronskianEvaluator:
         # in a window the subtracted parts are summed up to its left edge e and
         # the zero's own part, c2/(e - z) - c2/(r - z), is split off
         b = np.where(zone, self._z[p] - self._w[p], r)
-        inner, near = r < self.r_o, r < self._r_cut
-        # the rest of r's panel toward 0 left of r_o, toward r_cut right of it:
+        inner = r < self.r_o
+        # the rest of r's panel toward 0 left of r_o, toward r_t right of it:
         # one row per radius of a single Gauss-Legendre evaluation
         lo = np.where(inner, self._breaks[i], r)
         hi = np.where(inner, r, self._breaks[i + 1])
         (x, w), mid, half = self._gauss, 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)
         part = half * np.vecdot(self._regularized_integrand(mid + half[:, None] * x, i), w)
         integral = part + self._singular_between(
-            np.where(inner, 0.0, r), np.where(inner, b, self._r_cut))
-        integral += np.where(inner, self._cum[i], self._cum_back[i + 1] + self._tail)
-        integral[~near] = self._raw_integrand(r[~near]) / (2.0 * self.k_o)
+            np.where(inner, 0.0, r), np.where(inner, b, self._r_t))
+        integral += np.where(inner, self._cum[i], self._cum_back[i + 1] + self._tail_rt)
         um = up * integral
         pz, rz = p[zone], r[zone]
         c2 = self._c2[pz]
@@ -287,13 +286,30 @@ class WronskianEvaluator:
         e = -np.exp(self.k_o * rz)
         um[zone] = up[zone] * t - c2 * (e * pq)
         if not slope:
-            return up, um
+            return (um,)
         dup = u_plus_prime(r, self.sol)
         side = np.where(inner, 1.0, -1.0)
         du = np.divide(dup * um + side, up, out=np.empty_like(r), where=~zone)
         dt = self._regularized_integrand(rz[:, None], i[zone])[:, 0]
         du[zone] = dup[zone] * t + up[zone] * dt - c2 * (e * (self.k_o * pq - dpq))
-        return up, um, du
+        return um, du
+
+    def _evaluate_tail(self, r: np.ndarray, slope: bool) -> tuple:
+        """u_- and, if slope, u_-' at radii r >= r_t, from the Gauss-Laguerre sum alone.
+
+        P(r + t/(2*k_o))/P(r) = prod_k (1 + t*c_k) >= 1, c_k = 1/(2*k_o*(s_k - s)) over
+        the zeros s_k of P (0 among them), and 1/u_+ = exp(-k_o*r)/P: nothing overflows.
+        u_-' = (u_+'*u_- - 1)/u_+, with u_+'/u_+ = k_o - (dP/ds)/P = k_o*(1 + 2*sum_k c_k).
+        """
+        t, w = _laguerre()
+        s = self.r_o - r
+        c = 1.0 / (2.0 * self.k_o * (np.array((0.0,) + self.sol.roots) - s[:, None]))
+        f = np.ones((len(r), len(t)))
+        for ck in c.T:
+            f *= 1.0 + t * ck[:, None]
+        inv = np.exp(-self.k_o * r) / product_form(s, self.sol)[0]
+        um = inv * (f**-2.0 @ w) / (2.0 * self.k_o)
+        return (um, self.k_o * (1.0 + 2.0 * c.sum(axis=1)) * um - inv) if slope else (um,)
 
     # -- public surface ------------------------------------------------------
 
@@ -319,16 +335,19 @@ class WronskianEvaluator:
             )
 
     def _evaluate_many(self, r, slope: bool) -> tuple:
-        """u_+, u_- and, if slope, u_-' at every radius of r, _BLOCK radii at a time."""
+        """u_- and, if slope, u_-' at every radius of r: panels below r_t, the sum from it."""
         r = np.asarray(r, dtype=float)
         flat = r.ravel()
         # one array per output, so that keeping one keeps no other alive
-        out = [np.empty(len(flat)) for _ in range(3 if slope else 2)]
+        out = [np.empty(len(flat)) for _ in range(2 if slope else 1)]
         for start in range(0, len(flat), _BLOCK):
             block = flat[start:start + _BLOCK]
             self._check_admissible(block)
-            for x, y in zip(out, self._evaluate(block, slope)):
-                x[start:start + _BLOCK] = y
+            far = block >= self._r_t
+            for part, evaluate in ((~far, self._evaluate), (far, self._evaluate_tail)):
+                if part.any():
+                    for x, y in zip(out, evaluate(block[part], slope)):
+                        x[start:start + _BLOCK][part] = y
         return tuple(x.reshape(r.shape) for x in out)
 
     def u_minus_many(self, r) -> np.ndarray:
@@ -337,7 +356,7 @@ class WronskianEvaluator:
         Raises ValueError if any radius is not positive or sits on r_o (the
         message names the nearest admissible radius).
         """
-        return self._evaluate_many(r, slope=False)[1]
+        return self._evaluate_many(r, slope=False)[0]
 
     def u_minus(self, r: float) -> float:
         """The decaying branch at a single admissible radius."""
@@ -361,7 +380,7 @@ def u_minus(r, sol: SeriesSolution):
 
 def u_minus_and_slope(r, sol: SeriesSolution) -> tuple[np.ndarray, np.ndarray]:
     """u_- and its exact slope u_-' at radii r (an array), from one evaluation."""
-    return _evaluator(sol)._evaluate_many(r, slope=True)[1:]
+    return _evaluator(sol)._evaluate_many(r, slope=True)
 
 
 @dataclass
@@ -403,7 +422,8 @@ def sample_wave(sol: SeriesSolution, grid: RadialGrid) -> BoundWave:
     """
     ev = _evaluator(sol)
     r = grid.samples
-    up, um, dum = ev._evaluate_many(r, slope=True)
+    up = ev._u_plus(r)
+    um, dum = ev._evaluate_many(r, slope=True)
     rv = um / r
     left, right = ev.limits_at_ro()
     return BoundWave(

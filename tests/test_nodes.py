@@ -63,10 +63,11 @@ def test_plain_zeros_match_roots_of_u_minus(n):
         assert np.max(np.abs(np.array(plain) - roots)) <= 1e-8 * r_o
 
 
-@pytest.mark.parametrize("n", [11, 12, 14, 15, 20])
+@pytest.mark.parametrize("n", [11, 12, 14, 15, 20, 26, 30])
 def test_plain_zeros_match_an_ode_solution_from_the_origin(n):
     # u_- = u_+ * int_0^r dr'/u_+^2 is the solution that vanishes at r = 0;
-    # integrate the radial ODE u'' = -k_o^2*r/(r_o - r)*u from there
+    # integrate the radial ODE u'' = -k_o^2*r/(r_o - r)*u from there, up to
+    # 0.9999*r_o: from n = 30 the zero next to r_o lies past 0.999*r_o
     from scipy.integrate import solve_ivp
     from scipy.optimize import brentq
 
@@ -74,10 +75,10 @@ def test_plain_zeros_match_an_ode_solution_from_the_origin(n):
     k_o, r_o = sol.state.k_o, sol.state.r_o
     ode = solve_ivp(
         lambda r, y: [y[1], -k_o**2 * r / (r_o - r) * y[0]],
-        (0.0, 0.999 * r_o), [0.0, 1.0], method="DOP853", rtol=1e-12, atol=1e-14,
+        (0.0, 0.9999 * r_o), [0.0, 1.0], method="DOP853", rtol=1e-12, atol=1e-14,
         dense_output=True,
     )
-    rs = np.linspace(0.0, 0.999 * r_o, 20001)
+    rs = np.linspace(0.0, 0.9999 * r_o, 20001)
     u = ode.sol(rs)[0]
     want = [
         brentq(lambda r: ode.sol(r)[0], rs[i], rs[i + 1], xtol=1e-12 * r_o)
@@ -106,6 +107,16 @@ def test_zero_on_a_sample_is_reported_there(waves):
     node = next(nd for nd in report.nodes if nd.radius == r[i])
     assert node.kind is NodeKind.PLAIN_ZERO
     assert (node.value_left, node.value_right) == (vals[i - 1], vals[i + 1])
+
+
+def test_sides_that_do_not_alternate_are_refused(waves):
+    import dataclasses
+
+    # with L_- of the wrong sign the bracket next to r_o holds no zero
+    wave = waves[3]
+    flipped = dataclasses.replace(wave, left_limit_at_ro=-wave.left_limit_at_ro, _interp=[])
+    with pytest.raises(ValueError, match=r"\(Z=1, n=3\)"):
+        find_nodes(flipped)
 
 
 def test_n1_has_single_node(waves):

@@ -73,15 +73,15 @@ def test_sign_change_at_ro(solutions, n):
 
 def test_n1_closed_form_value():
     # n=1: u_+ = e^r (2 - r), r_o = 2.  One array call spans r < r_o, where
-    # u_- = u_+ * int_0^r dr'/u_+^2, and r_o < r < r_cut and r > r_cut, where
-    # u_- = u_+ * int_r^inf dr'/u_+^2.  Below r_cut the construction must
-    # agree with direct adaptive quadrature of 1/u_+^2.
+    # u_- = u_+ * int_0^r dr'/u_+^2, and r_o < r < r_t and r >= r_t (the
+    # panels' end and the Gauss-Laguerre sum's start), where
+    # u_- = u_+ * int_r^inf dr'/u_+^2.  Every radius must agree with direct
+    # adaptive quadrature of 1/u_+^2, far past r_t too.
     from scipy.integrate import quad
 
     sol = build_series(AtomSpec(1, 1))
-    ev = WronskianEvaluator(sol)
-    r_o, r_cut, k_o = sol.state.r_o, ev._r_cut, sol.state.k_o
-    rs = np.array([0.3, 1.0, 1.9, 2.1, 3.0, 6.0, 1.1 * r_cut, 1.5 * r_cut])
+    r_t, r_o = WronskianEvaluator(sol)._r_t, sol.state.r_o
+    rs = np.array([0.3, 1.0, 1.9, 2.1, 3.0, 0.999 * r_t, r_t, 6.0, 15.0, 22.5, 30.75])
     got = u_minus(rs, sol)
 
     def inv_sq(x):
@@ -90,12 +90,7 @@ def test_n1_closed_form_value():
     for r, val in zip(rs, got):
         lo, hi = (0.0, r) if r < r_o else (r, math.inf)
         ref = u_plus(r, sol) * quad(inv_sq, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
-        if r < r_cut:
-            assert val == pytest.approx(ref, rel=1e-10)
-        else:
-            # past r_cut the integral is the pure exponential e^{-2 k_o r}/2k_o,
-            # which drops the algebraic factor: off by about 1/(k_o (r - r_o))
-            assert abs(val / ref - 1.0) < 1.0 / (k_o * (r - r_o))
+        assert val == pytest.approx(ref, rel=1e-10)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -178,12 +173,20 @@ def test_u_minus_at_interior_zeros_is_minus_reciprocal_slope(z, n):
     )
 
 
+def _laguerre_u_minus(ev, r):
+    """u_- = exp(-k_o*r)*P(r)/(2*k_o) * sum_j w_j/P(r + t_j/(2*k_o))^2 at one r >= r_t."""
+    t, w = np.polynomial.laguerre.laggauss(40)
+    p = product_form(ev.r_o - r - np.r_[0.0, t] / (2.0 * ev.k_o), ev.sol)[0]
+    return math.exp(-ev.k_o * r) * p[0] / (2.0 * ev.k_o) * float(np.dot(w, p[1:] ** -2.0))
+
+
 def _u_minus_one_radius(ev, r):
-    """Reference: the kernel's arithmetic for one radius, with a Gauss sum of its own."""
+    """Reference: the kernel's arithmetic for one radius, with Gauss sums of its own."""
+    if r >= ev._r_t:
+        return _laguerre_u_minus(ev, r)
     i = int(np.searchsorted(ev._breaks, r, side="right")) - 1
-    i = min(max(i, 0), len(ev._breaks) - 2)
     a, b = float(ev._breaks[i]), float(ev._breaks[i + 1])
-    # the part of the panel toward 0 left of r_o, toward r_cut right of it
+    # the part of the panel toward 0 left of r_o, toward r_t right of it
     lo, hi = (a, r) if r < ev.r_o else (r, b)
     x, w = np.polynomial.legendre.leggauss(ev.quad_order)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -213,9 +216,9 @@ def _u_minus_one_radius(ev, r):
         return up * t + ev._c2[p] * math.exp(ev.k_o * r) * pq
     if r < ev.r_o:
         return up * (forward + singular(0.0, r))
-    if r >= ev._r_cut:
-        return up * (1.0 / up**2 / (2.0 * ev.k_o))
-    return up * (backward + singular(r, ev._r_cut) + ev._tail)
+    # int_{r_t}^inf dr'/u_+^2 = u_-(r_t)/u_+(r_t)
+    tail = _laguerre_u_minus(ev, ev._r_t) / u_plus(ev._r_t, ev.sol)
+    return up * (backward + singular(r, ev._r_t) + tail)
 
 
 @pytest.mark.parametrize("z,n", [(1, 1), (1, 2), (1, 3), (2, 5)])
@@ -225,13 +228,15 @@ def test_batched_kernel_matches_per_radius_reference(z, n):
     zeros = np.array(interior_zeros(sol))
     rs = np.concatenate([
         make_radial_grid(sol, samples=400).samples,
-        [1.2 * ev._r_cut, 0.999 * ev._r_cut],
+        [1.2 * ev._r_t, ev._r_t, 0.999 * ev._r_t],
         # at each interior zero, and inside its window
         zeros, zeros * (1.0 + 1e-9), zeros + 0.5 * EXCLUSION * sol.state.r_o,
     ])
     ref = np.array([_u_minus_one_radius(ev, float(r)) for r in rs])
     got = ev.u_minus_many(rs)
-    zone = ev._panels(rs)[1]
+    # the panels serve below r_t only
+    near, zone = rs < ev._r_t, np.zeros(len(rs), dtype=bool)
+    zone[near] = ev._panels(rs[near])[1]
     # same arithmetic up to the log and exp implementations: a few ulps, in a
     # window of the two terms u_+*T and c2*q whose difference u_- is
     np.testing.assert_allclose(got[~zone], ref[~zone], rtol=1e-14, atol=0.0)
@@ -314,6 +319,20 @@ def test_make_radial_grid_respects_zones():
     assert np.any(np.abs(grid.samples - 6.0) < EXCLUSION * sol.state.r_o)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 8, 11])
+def test_make_radial_grid_keeps_the_same_samples_for_every_z(n):
+    # sample 333 of 1000 sits on the zone's edge, 0.999*r_o; whether r_o rounds up
+    # or down must not decide whether it is kept
+    for z in range(1, 13):
+        sol = build_series(AtomSpec(z, n))
+        grid = make_radial_grid(sol)
+        assert len(grid.samples) == 1000
+        lo, _ = grid.exclusion_zones[0]
+        assert grid.samples[332] <= lo < grid.samples[333]
+        assert grid.samples / sol.state.r_o == pytest.approx(
+            np.arange(1, 1001) * 3.0 / 1000, rel=1e-15, abs=0)
+
+
 def test_make_radial_grid_names_smallest_working_sample_count():
     sol = build_series(AtomSpec(1, 1))
     with pytest.raises(ValueError, match=r"\(Z=1, n=1\).*at least 301 samples"):
@@ -339,9 +358,54 @@ def test_sampling_raises_no_warnings(z, samples):
         # past that u_+^2 overflows float64 on the grid, and at n = 100 (Z = 1)
         # the coefficient a_n underflows: refused, not evaluated
         for n in (39, 40, 100):
-            sol = build_series(AtomSpec(z, n))
             with pytest.raises(ValueError, match=rf"\(Z={z}, n={n}\) is out of float64 range"):
+                sol = build_series(AtomSpec(z, n))
                 sample_wave(sol, make_radial_grid(sol, samples=samples))
+
+
+def test_underflowing_state_is_refused_before_its_jacobi_matrix():
+    # a_n underflows long before n = 2000, whose dense Jacobi matrix alone
+    # would take 32 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"\(Z=1, n=2000\) is out of float64 range"):
+            build_series(AtomSpec(1, 2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.fixture(scope="module")
+def whittaker():
+    """u_- right of r_o from mpmath.whitw, per (n, rho): it does not depend on Z."""
+    mpmath = pytest.importorskip("mpmath")
+    cache = {}
+
+    def value(n, rho):
+        if (n, rho) not in cache:
+            with mpmath.workdps(30):
+                x = 4 * n * (mpmath.mpf(rho) - 1)
+                cache[n, rho] = float(
+                    -mpmath.exp(-2 * n) * mpmath.factorial(n) * mpmath.whitw(-n, 0.5, x))
+        return cache[n, rho]
+
+    return value
+
+
+@pytest.mark.parametrize("z", [1, 2, 92])
+@pytest.mark.parametrize("n", [1, 2, 4, 6, 9, 12, 16, 20, 25])
+def test_u_minus_right_of_ro_matches_whittaker(whittaker, z, n):
+    # u_- = -e^(-2n)*n!*W_(-n,1/2)(2*k_o*(r - r_o)) (DLMF 13.14), on both sides
+    # of the tail start r_t = r_o*(1 + 3/(2n)) and out to 10*r_o, where u_+^2
+    # overflows from n = 16 on
+    rhos = [1.01, 1.05, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0]
+    sol = build_series(AtomSpec(z, n))
+    got = u_minus(np.array(rhos) * sol.state.r_o, sol)
+    want = [whittaker(n, rho) for rho in rhos]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_sampled_wave_matches_pointwise_evaluation(solutions, waves):
