@@ -89,9 +89,10 @@ def find_nodes(wave: BoundWave) -> NodeReport:
 
     The brackets come from the state, not from the samples: u_-(0) = 0, and by
     Sturm separation u_- has exactly one zero between consecutive zeros of
-    u_+, z_1 < ... < z_(n-1), then r_o.  Their sides are R(z_j) =
-    -1/(z_j*u_+'(z_j)) and L_-/r_o at r_o - 2e-9*r_o, and must alternate in
-    sign (else ValueError).  All are refined at once by Newton steps on the
+    u_+, z_1 < ... < z_(n-1), then r_o.  The last bracket ends at
+    r_o - 2e-9*r_o, where u_- is within O(s*ln|s|) of its limit L_-.  The sides
+    are R(z_j) = -1/(z_j*u_+'(z_j)) and L_-/r_o, and must alternate in sign
+    (else ValueError).  All are refined at once by Newton steps on the
     exact u_- and u_-', bisecting where a step leaves its bracket, until every
     step is at most 1e-9*r_o.  Zeros outside the sampled span are not
     reported.  A node's values are R at the samples that bound it, L_-/r_o
@@ -184,7 +185,8 @@ def track_superposition_nodes(
     0.1*r_o (smallest r_o among the states) starts a new track.
     A slice whose wave is uniformly below 1e-9 of the global amplitude is
     reported degenerate and contributes no nodes.  Weights that are all zero
-    are refused: every slice of such a superposition is degenerate.
+    are refused, and so is a repeated state: distinct states are linearly
+    independent, so only these two can make the superposition vanish.
     """
     if len(times) < 2:
         raise ValueError("need at least 2 time samples")
@@ -194,6 +196,11 @@ def track_superposition_nodes(
         raise ValueError("weights are all zero: the superposition vanishes everywhere")
     if len({w.atom.z for w in waves}) > 1:
         raise ValueError("waves mix nuclear charges")
+    ns = [w.atom.n for w in waves]
+    repeat = next((n for i, n in enumerate(ns) if n in ns[:i]), None)
+    if repeat is not None:
+        raise ValueError(f"state n={repeat} is repeated: give each state once, with its"
+                         " weights summed")
     r_o_ref = min(w.state.r_o for w in waves)
     jump = 0.1 * r_o_ref
     rs = radial_grid.samples

@@ -73,8 +73,10 @@ def product_form(s, sol: SeriesSolution, skip=None):
 
     With skip, a root index (or an array of them, one per point), the factor
     s - s_skip is left out: P/(s - s_skip) without a division, finite at s_skip.
+    Index -1 leaves out the factor s, the zero at r_o.
     """
-    p, dp = sol.coeffs[-1] * s, sol.coeffs[-1]
+    lead = True if skip is None else skip != -1
+    p, dp = sol.coeffs[-1] * np.where(lead, s, 1.0), sol.coeffs[-1] * lead
     for j, root in enumerate(sol.roots):
         keep = True if skip is None else skip != j
         f = np.where(keep, s - root, 1.0)

@@ -23,10 +23,8 @@ from .wronskian import RadialGrid, make_radial_grid, sample_wave, u_minus
 
 @dataclass(frozen=True)
 class ResidualReport:
-    grid_spacing: float
     max_rel_residual: float
     order_estimate: float
-    excluded_zones: tuple[tuple[float, float], ...]
 
 
 def _coefficient(r: np.ndarray, state: StateParams) -> np.ndarray:
@@ -56,24 +54,17 @@ def ode_residual(u_sampler, state: StateParams, grid: RadialGrid) -> ResidualRep
     """
     worst = 0.0
     worst_coarse = 0.0
-    spacing = None
     for seg in grid.segments():
         if len(seg) < 50:
             raise ValueError("grid too coarse: need at least 50 points per segment")
         h = np.diff(seg)
         if not np.allclose(h, h[0], rtol=1e-9):
             raise ValueError("grid must be uniform within each smooth segment")
-        spacing = float(h[0]) if spacing is None else max(spacing, float(h[0]))
         u = np.asarray(u_sampler(seg), dtype=float)
         worst = max(worst, _segment_residual(u, state, seg))
         worst_coarse = max(worst_coarse, _segment_residual(u[::2], state, seg[::2]))
     order = math.log2(worst_coarse / worst) if worst > 0 else float("nan")
-    return ResidualReport(
-        grid_spacing=spacing,
-        max_rel_residual=worst,
-        order_estimate=order,
-        excluded_zones=grid.exclusion_zones,
-    )
+    return ResidualReport(max_rel_residual=worst, order_estimate=order)
 
 
 def make_residual_grid(state: StateParams, zero_loci: list[float]) -> RadialGrid:
@@ -149,12 +140,7 @@ def pde_residual_free(v: float, grid: SpaceTimeGrid, amplitude: float | None = N
     base = residual(grid.dx, grid.dt)
     coarse = residual(2 * grid.dx, 2 * grid.dt)
     order = math.log2(coarse / base) if base > 0 and coarse > 0 else float("nan")
-    return ResidualReport(
-        grid_spacing=max(grid.dx, grid.dt),
-        max_rel_residual=base,
-        order_estimate=order,
-        excluded_zones=(),
-    )
+    return ResidualReport(max_rel_residual=base, order_estimate=order)
 
 
 # Inward shooting takes Taylor steps of u'' = -q(r)*u, q(r) = k_o^2*(r_o/(r_o - r) - 1).

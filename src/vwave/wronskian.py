@@ -17,10 +17,16 @@ smoothly through -1/u_+'(z).  In its window the finite part is T - c2/(r - z),
 so u_- = u_+*T - c2*q with q = u_+/(r - z) the product form without that
 zero's factor, and u_-' follows from the same terms: no 0*inf, no 0/0.  Only
 r_o is singular: the ODE coefficient has a pole, c1 != 0, and u_- has
-genuinely opposite one-sided limits -/+ 1/u_+'(r_o).
+genuinely opposite one-sided limits -/+ 1/u_+'(r_o).  Its window takes the
+same local form plus c1*u_+*ln|r - r_o|, so u_- and u_-' stay exact a hair to
+either side.  Every evaluation goes through WronskianEvaluator.u_minus_many,
+which refuses r = r_o exactly (and radii that are not finite and positive)
+and nothing else.
 
-The panels end at r_t = r_o + 3/k_o.  From there on, r' = r + t/(2*k_o) makes
-the integral to infinity a Gauss-Laguerre sum, with P = exp(-k_o*r)*u_+:
+Right of r_o no zero bounds the panels, so they are graded away from r_o's
+window by factors of 3 up to the 1/k_o panel length.  They end at
+r_t = r_o + 3/k_o.  From there on, r' = r + t/(2*k_o) makes the integral to
+infinity a Gauss-Laguerre sum, with P = exp(-k_o*r)*u_+:
 u_- = exp(-k_o*r)*P(r)/(2*k_o) * sum_j w_j/P(r + t_j/(2*k_o))^2.  No cutoff.
 """
 
@@ -149,7 +155,7 @@ class WronskianEvaluator:
         """
         self._z = z = np.array(interior_zeros(self.sol) + [self.r_o])
         self._depth = np.array(self.sol.roots[::-1] + (0.0,))  # s_j of each zero, 0 for r_o
-        self._d1 = np.array([u_plus_prime(x, self.sol) for x in z.tolist()])
+        self._d1 = u_plus_prime(z, self.sol)
         self._c2 = 1.0 / self._d1**2
         l1 = np.zeros(len(z))
         l1[-1] = -self.k_o**2 * self.r_o
@@ -230,8 +236,13 @@ class WronskianEvaluator:
         pts = {0.0, self._r_t}
         for z, w in zip(self._z.tolist(), self._w.tolist()):
             pts.update((z - w, z - _NEAR * w, z, z + _NEAR * w, z + w))
+        # right of r_o no zero bounds the panels: grade them away from r_o's
+        # window by factors of 3 until they reach the 1/k_o panel length
+        max_len, d = 1.0 / self.k_o, 3.0 * float(self._w[-1])
+        while d < max_len:
+            pts.add(self.r_o + d)
+            d *= 3.0
         pts = sorted(pts)
-        max_len = 1.0 / self.k_o
         out = [pts[0]]
         for a, b in zip(pts, pts[1:]):
             k = max(1, math.ceil((b - a) / max_len))
@@ -248,25 +259,28 @@ class WronskianEvaluator:
         self._cum_back = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]])
 
     def _panels(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Panel of each radius in (0, r_t); is it in an interior zero's window?"""
+        """Panel of each radius in (0, r_t); is it in a zero's window?"""
         i = np.searchsorted(self._breaks, r, side="right") - 1
-        return i, (self._kind[i] > 0) & (self._pole[i] < len(self._z) - 1)
+        return i, self._kind[i] > 0
 
     def _evaluate(self, r: np.ndarray, slope: bool) -> tuple:
         """u_- and, if slope, u_-' at a block of admissible radii below r_t.
 
         u_- = u_+*I, I the finite part from 0 left of r_o and to infinity right
-        of it, and u_-' = u_+'*I +/- 1/u_+.  In the window of an interior zero z,
-        I = T - c2/(r - z): there u_- = u_+*T - c2*q with q = u_+/(r - z), and
-        u_-' = u_+'*T + u_+*T' - c2*q', T' the regularized integrand.
+        of it, and u_-' = u_+'*I +/- 1/u_+.  In the window of a zero z, with s =
+        r - z and sign +1 left of r_o, -1 right of it, I = T + sign*(-c2/s +
+        c1*ln|s|): there u_- = u_+*T + sign*(c1*u_+*ln|s| - c2*q) with q = u_+/s,
+        and u_-' = u_+'*T + sign*(u_+*T~ + c1*(u_+'*ln|s| + q) - c2*q'), T~ the
+        regularized integrand.  Only at r_o is c1 != 0.
         """
         up = self._u_plus(r)
         i, zone = self._panels(r)
         p = self._pole[i]
-        # in a window the subtracted parts are summed up to its left edge e and
-        # the zero's own part, c2/(e - z) - c2/(r - z), is split off
-        b = np.where(zone, self._z[p] - self._w[p], r)
         inner = r < self.r_o
+        side = np.where(inner, 1.0, -1.0)
+        # in a window the subtracted parts are summed from its edge b on the far
+        # side of r, and the zero's own part from b to r is split off
+        b = np.where(zone, self._z[p] - side * self._w[p], r)
         # the rest of r's panel toward 0 left of r_o, toward r_t right of it:
         # one row per radius of a single Gauss-Legendre evaluation
         lo = np.where(inner, self._breaks[i], r)
@@ -274,24 +288,31 @@ class WronskianEvaluator:
         (x, w), mid, half = self._gauss, 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)
         part = half * np.vecdot(self._regularized_integrand(mid + half[:, None] * x, i), w)
         integral = part + self._singular_between(
-            np.where(inner, 0.0, r), np.where(inner, b, self._r_t))
+            np.where(inner, 0.0, b), np.where(inner, b, self._r_t))
         integral += np.where(inner, self._cum[i], self._cum_back[i + 1] + self._tail_rt)
         um = up * integral
-        pz, rz = p[zone], r[zone]
-        c2 = self._c2[pz]
-        t = integral[zone] + c2 / self._offset(b[zone], pz)
+        pz, rz, sz, upz = p[zone], r[zone], side[zone], up[zone]
+        c1, c2, se = self._c1[pz], self._c2[pz], self._offset(b[zone], pz)
+        t = integral[zone] + sz * (c2 / se - c1 * np.log(np.abs(se)))
         # q = u_+/(r - z) = e*P/(s - s_j), e = -exp(k_o*r), s = r_o - r: the product
-        # without z's factor, and q' = e*(k_o*P - dP/ds) with it
+        # without z's factor (s itself at r_o), and q' = e*(k_o*P - dP/ds) with it
         pq, dpq = product_form(self.r_o - rz, self.sol, skip=len(self.sol.roots) - 1 - pz)
         e = -np.exp(self.k_o * rz)
-        um[zone] = up[zone] * t - c2 * (e * pq)
+        q = e * pq
+        uz = upz * t - sz * (c2 * q)
+        # r = z is allowed at an interior zero, where c1 = 0: take ln|s| at r_o only
+        ro = pz == len(self._z) - 1
+        log = np.log(np.abs(self._offset(rz[ro], pz[ro])))
+        uz[ro] += sz[ro] * (c1[ro] * (upz[ro] * log))
+        um[zone] = uz
         if not slope:
             return (um,)
         dup = u_plus_prime(r, self.sol)
-        side = np.where(inner, 1.0, -1.0)
         du = np.divide(dup * um + side, up, out=np.empty_like(r), where=~zone)
         dt = self._regularized_integrand(rz[:, None], i[zone])[:, 0]
-        du[zone] = dup[zone] * t + up[zone] * dt - c2 * (e * (self.k_o * pq - dpq))
+        dz = dup[zone] * t + upz * (sz * dt) - sz * (c2 * (e * (self.k_o * pq - dpq)))
+        dz[ro] += sz[ro] * (c1[ro] * (dup[zone][ro] * log + q[ro]))
+        du[zone] = dz
         return um, du
 
     def _evaluate_tail(self, r: np.ndarray, slope: bool) -> tuple:
@@ -313,29 +334,23 @@ class WronskianEvaluator:
 
     # -- public surface ------------------------------------------------------
 
-    def nearest_admissible(self, r: float) -> float:
-        """r itself, or a radius just outside r's 1e-9*r_o neighborhood of r_o."""
-        eps = 1e-9 * self.r_o
-        if abs(r - self.r_o) >= eps:
-            return r
-        # 2*eps so rounding in r_o + offset cannot land back inside the neighborhood
-        return self.r_o + math.copysign(2.0 * eps, r - self.r_o if r != self.r_o else 1.0)
-
     def _check_admissible(self, r: np.ndarray) -> None:
-        """Reject radii at or left of 0 and within 1e-9*r_o of r_o."""
-        bad = r[r <= 0.0]
+        """Refuse radii that are not finite, not positive, or r_o itself."""
+        bad = r[~(np.isfinite(r) & (r > 0.0))]
         if bad.size:
-            raise ValueError(f"r must be positive, got r={bad[0]}")
-        singular = np.abs(r - self.r_o) < 1e-9 * self.r_o
-        if singular.any():
-            x = float(r[singular][0])
-            raise ValueError(
-                f"r={x} is a singular point of the construction; "
-                f"nearest admissible r is {self.nearest_admissible(x)}"
-            )
+            raise ValueError(f"r must be positive and finite, got r={bad[0]}")
+        if (r == self.r_o).any():
+            left, right = self.limits_at_ro()
+            raise ValueError(f"r={self.r_o} is r_o, the singular point of u_-: its one-sided"
+                             f" limits are {left} from the left and {right} from the right")
 
-    def _evaluate_many(self, r, slope: bool) -> tuple:
-        """u_- and, if slope, u_-' at every radius of r: panels below r_t, the sum from it."""
+    def u_minus_many(self, r, slope: bool = False) -> tuple:
+        """(u_-,), or with slope (u_-, u_-'), at every radius of r: panels below r_t,
+        the Gauss-Laguerre sum from it, _BLOCK radii at a time.
+
+        Raises ValueError if any radius is not finite, not positive, or exactly
+        r_o (the message names the one-sided limits there).
+        """
         r = np.asarray(r, dtype=float)
         flat = r.ravel()
         # one array per output, so that keeping one keeps no other alive
@@ -350,18 +365,6 @@ class WronskianEvaluator:
                         x[start:start + _BLOCK][part] = y
         return tuple(x.reshape(r.shape) for x in out)
 
-    def u_minus_many(self, r) -> np.ndarray:
-        """The decaying branch at every radius of r, _BLOCK radii at a time.
-
-        Raises ValueError if any radius is not positive or sits on r_o (the
-        message names the nearest admissible radius).
-        """
-        return self._evaluate_many(r, slope=False)[0]
-
-    def u_minus(self, r: float) -> float:
-        """The decaying branch at a single admissible radius."""
-        return float(self.u_minus_many(r))
-
     def limits_at_ro(self) -> tuple[float, float]:
         """One-sided limits -/+ 1/u_+'(r_o) of u_- at r_o, from the r_o pole data."""
         return -1.0 / float(self._d1[-1]), 1.0 / float(self._d1[-1])
@@ -374,13 +377,13 @@ def _evaluator(sol: SeriesSolution) -> WronskianEvaluator:
 
 def u_minus(r, sol: SeriesSolution):
     """Decaying branch u_- at r (scalar or array), with 32-point panels."""
-    out = _evaluator(sol).u_minus_many(r)
+    out = _evaluator(sol).u_minus_many(r)[0]
     return out if out.ndim else float(out)
 
 
 def u_minus_and_slope(r, sol: SeriesSolution) -> tuple[np.ndarray, np.ndarray]:
     """u_- and its exact slope u_-' at radii r (an array), from one evaluation."""
-    return _evaluator(sol)._evaluate_many(r, slope=True)
+    return _evaluator(sol).u_minus_many(r, slope=True)
 
 
 @dataclass
@@ -423,7 +426,7 @@ def sample_wave(sol: SeriesSolution, grid: RadialGrid) -> BoundWave:
     ev = _evaluator(sol)
     r = grid.samples
     up = ev._u_plus(r)
-    um, dum = ev._evaluate_many(r, slope=True)
+    um, dum = ev.u_minus_many(r, slope=True)
     rv = um / r
     left, right = ev.limits_at_ro()
     return BoundWave(

@@ -55,3 +55,28 @@ def test_removed_names_not_exported():
     for name in ("Constants", "constants", "classify_locus"):
         assert name not in vwave.__all__
         assert not hasattr(vwave, name)
+
+
+def test_benchmark_tracer_installs_and_counts_u_minus_points():
+    # perfbench/tracing.py looks program names up with getattr, so a rename
+    # here must fail a test, not a traced benchmark run; sample_wave's points
+    # reach its wronskian.u_minus span through the one evaluation entry point
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    probe = (
+        "import tracing\n"
+        "t = tracing.Tracer()\n"
+        "t.install()\n"
+        "from vwave import AtomSpec, build_series, make_radial_grid, sample_wave\n"
+        "sol = build_series(AtomSpec(1, 3))\n"
+        "sample_wave(sol, make_radial_grid(sol))\n"
+        "print(tracing.summarize(t.arrays())['wronskian.u_minus']['count'])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "perfbench"), str(root / "src")]))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.split() == ["1000"]

@@ -292,6 +292,14 @@ def test_all_zero_weights_exit_2(capsys):
     assert "all zero" in captured.err
 
 
+def test_repeated_state_exit_2(capsys):
+    code = main(["superpose", "--states", "1,1", "--weights", "1,-1", "--t-samples", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "n=1 is repeated" in captured.err
+
+
 def test_out_file(tmp_path, capsys):
     out = tmp_path / "state.json"
     code, printed = run_cli(capsys, "state", "--z", "2", "--n", "1", "--out", str(out))

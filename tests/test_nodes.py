@@ -235,3 +235,7 @@ def test_track_validation(waves):
         track_superposition_nodes([waves[1]], [1.0, 2.0], [0.0, 1.0], waves[1].grid)
     with pytest.raises(ValueError, match="all zero"):
         track_superposition_nodes([waves[1], waves[2]], [0.0, 0.0], [0.0, 1.0], waves[1].grid)
+    # u_1 - u_1 vanishes everywhere: a repeated state is refused, not tracked
+    with pytest.raises(ValueError, match="n=1 is repeated"):
+        track_superposition_nodes([waves[1], waves[2], waves[1]], [1.0, 1.0, -1.0], [0.0, 1.0],
+                                  waves[1].grid)

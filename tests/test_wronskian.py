@@ -113,7 +113,7 @@ def test_quadrature_convergence(solutions, n):
     r_o = sol.state.r_o
     rs = np.array([0.4, 0.9, 1.3, 2.0, 2.9]) * r_o
     coarse = u_minus(rs, sol)
-    fine = WronskianEvaluator(sol, quad_order=64).u_minus_many(rs)
+    fine = WronskianEvaluator(sol, quad_order=64).u_minus_many(rs)[0]
     assert np.max(np.abs(fine / coarse - 1.0)) < 1e-6
 
 
@@ -129,36 +129,68 @@ def test_tail_is_steepened_exponential(waves, n):
 
 
 def test_singular_points_rejected_with_guidance():
+    # r_o is the one singular point: refused, naming the one-sided limits
     sol = build_series(AtomSpec(1, 2))
-    ev = WronskianEvaluator(sol)
-    with pytest.raises(ValueError, match="nearest admissible"):
-        ev.u_minus(sol.state.r_o)
-    with pytest.raises(ValueError):
-        ev.u_minus(-1.0)
-    # the suggested radius itself must evaluate
-    ev.u_minus(ev.nearest_admissible(sol.state.r_o))
+    r_o = sol.state.r_o
+    left, right = WronskianEvaluator(sol).limits_at_ro()
+    with pytest.raises(ValueError, match="r_o") as err:
+        u_minus(r_o, sol)
+    assert f"{left} from the left and {right} from the right" in str(err.value)
+    # a hair to either side it evaluates, O(s*ln|s|) from those limits
+    near = u_minus(r_o * np.array([1.0 - 1e-12, 1.0 + 1e-12]), sol)
+    np.testing.assert_allclose(near, [left, right], rtol=1e-9, atol=0.0)
     # the interior zero of u_+ at 6 is an ordinary point
-    assert ev.u_minus(6.0) == pytest.approx(-1.0 / u_plus_prime(6.0, sol), rel=1e-10)
+    assert u_minus(6.0, sol) == pytest.approx(-1.0 / u_plus_prime(6.0, sol), rel=1e-10)
 
 
 def test_array_with_singular_or_nonpositive_radius_rejected():
     sol = build_series(AtomSpec(1, 2))
     ev = WronskianEvaluator(sol)
     ok = [1.0, 5.0, 6.0, 9.0]
-    with pytest.raises(ValueError, match="nearest admissible") as arr_err:
-        u_minus(np.array(ok + [sol.state.r_o]), sol)
-    with pytest.raises(ValueError) as scalar_err:
-        ev.u_minus(sol.state.r_o)
-    assert str(arr_err.value) == str(scalar_err.value)
-    for bad in (0.0, -1.0):
-        with pytest.raises(ValueError, match="positive") as arr_err:
-            ev.u_minus_many(np.array([bad] + ok))
+    for bad in (sol.state.r_o, math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError) as arr_err:
+            ev.u_minus_many(np.array(ok + [bad]))
         with pytest.raises(ValueError) as scalar_err:
-            ev.u_minus(bad)
+            u_minus(bad, sol)
         assert str(arr_err.value) == str(scalar_err.value)
+        if bad != sol.state.r_o:
+            assert "positive and finite" in str(arr_err.value)
     np.testing.assert_allclose(
-        u_minus(np.array(ok), sol), [ev.u_minus(r) for r in ok], rtol=1e-15, atol=0.0
+        u_minus(np.array(ok), sol), [u_minus(r, sol) for r in ok], rtol=1e-15, atol=0.0
     )
+
+
+def test_every_evaluation_goes_through_u_minus_many(monkeypatch):
+    # the kernels run only inside the one entry point, so a wrapper there (the
+    # benchmark's tracer) sees all of sample_wave's and find_nodes' traffic
+    from vwave.nodes import find_nodes
+
+    sol = build_series(AtomSpec(1, 6))
+    grid = make_radial_grid(sol)
+    sample_wave(sol, grid)  # the cached evaluator is built before the wrapping
+    entry, depth, stray = WronskianEvaluator.u_minus_many, [0], []
+
+    def wrapped(self, r, slope=False):
+        depth[0] += 1
+        try:
+            return entry(self, r, slope=slope)
+        finally:
+            depth[0] -= 1
+
+    def guard(name):
+        kernel = getattr(WronskianEvaluator, name)
+
+        def run(self, r, slope):
+            if not depth[0]:
+                stray.append((name, len(r)))
+            return kernel(self, r, slope)
+        return run
+
+    monkeypatch.setattr(WronskianEvaluator, "u_minus_many", wrapped)
+    for name in ("_evaluate", "_evaluate_tail"):
+        monkeypatch.setattr(WronskianEvaluator, name, guard(name))
+    find_nodes(sample_wave(sol, grid))
+    assert stray == []
 
 
 @pytest.mark.parametrize("z", [1, 3])
@@ -206,19 +238,26 @@ def _u_minus_one_radius(ev, r):
         return total
 
     up = u_plus(r, ev.sol)
-    p = int(ev._pole[i])
-    if ev._kind[i] and p < len(ev._z) - 1:
-        # in an interior zero's window: u_+ * (T - c2/(r - z)) = u_+*T - c2*q, with
-        # q = u_+/(r - z) = -exp(k_o*r)*P/(s - s_j) the product without that zero's factor
-        edge = float(ev._z[p] - ev._w[p])
-        t = forward + singular(0.0, edge) + ev._c2[p] / ev._offset(edge, p)
-        pq = float(product_form(ev.r_o - r, ev.sol, skip=len(ev.sol.roots) - 1 - p)[0])
-        return up * t + ev._c2[p] * math.exp(ev.k_o * r) * pq
-    if r < ev.r_o:
-        return up * (forward + singular(0.0, r))
     # int_{r_t}^inf dr'/u_+^2 = u_-(r_t)/u_+(r_t)
     tail = _laguerre_u_minus(ev, ev._r_t) / u_plus(ev._r_t, ev.sol)
-    return up * (backward + singular(r, ev._r_t) + tail)
+
+    def finite_part(end):
+        """The finite part from 0 to end left of r_o, from end to infinity right of it."""
+        return forward + singular(0.0, end) if r < ev.r_o else backward + singular(end, ev._r_t) + tail
+
+    p = int(ev._pole[i])
+    if not ev._kind[i]:
+        return up * finite_part(r)
+    # in a zero's window, sign +1 left of r_o and -1 right of it, s = r - z:
+    # u_+ * (T + sign*(-c2/s + c1*ln|s|)) = u_+*T + sign*(c1*u_+*ln|s| - c2*q), with
+    # q = u_+/s = -exp(k_o*r)*P/(s - s_j) the product without that zero's factor
+    sign = 1.0 if r < ev.r_o else -1.0
+    edge = float(ev._z[p] - sign * ev._w[p])
+    c1, c2, se = ev._c1[p], ev._c2[p], ev._offset(edge, p)
+    t = finite_part(edge) + sign * (c2 / se - c1 * math.log(abs(se)))
+    pq = float(product_form(ev.r_o - r, ev.sol, skip=len(ev.sol.roots) - 1 - p)[0])
+    log = c1 * math.log(abs(ev._offset(r, p))) if c1 else 0.0
+    return up * t + sign * (up * log + c2 * math.exp(ev.k_o * r) * pq)
 
 
 @pytest.mark.parametrize("z,n", [(1, 1), (1, 2), (1, 3), (2, 5)])
@@ -231,9 +270,11 @@ def test_batched_kernel_matches_per_radius_reference(z, n):
         [1.2 * ev._r_t, ev._r_t, 0.999 * ev._r_t],
         # at each interior zero, and inside its window
         zeros, zeros * (1.0 + 1e-9), zeros + 0.5 * EXCLUSION * sol.state.r_o,
+        # a hair to either side of r_o
+        sol.state.r_o * (1.0 + np.array([-1e-12, 1e-12])),
     ])
     ref = np.array([_u_minus_one_radius(ev, float(r)) for r in rs])
-    got = ev.u_minus_many(rs)
+    got = ev.u_minus_many(rs)[0]
     # the panels serve below r_t only
     near, zone = rs < ev._r_t, np.zeros(len(rs), dtype=bool)
     zone[near] = ev._panels(rs[near])[1]
@@ -244,18 +285,19 @@ def test_batched_kernel_matches_per_radius_reference(z, n):
 
 
 def _outward_shot(sol, r):
-    """u and u' at radii r < 0.999*r_o, from u = 0, u' = 1/u_+(0) at the origin.
+    """u and u' at radii r < r_o, from u = 0, u' = 1/u_+(0) at the origin.
 
     Chains the battery's Taylor transfer matrices outward in steps of
-    min(1/k_o, (r_o - r)/4), and takes one more step from the node at or
-    left of each radius.  It shares only u_+(0) with the Wronskian construction.
+    min(1/k_o, (r_o - r)/4) up to the largest radius, and takes one more step
+    from the node at or left of each radius.  It shares only u_+(0) with the
+    Wronskian construction.
     """
     from vwave.verify import _transfer
 
-    k_o, r_o = sol.state.k_o, sol.state.r_o
+    k_o, r_o, end = sol.state.k_o, sol.state.r_o, float(np.max(r))
     nodes = [0.0]
-    while nodes[-1] < 0.999 * r_o:
-        nodes.append(min(0.999 * r_o, nodes[-1] + min(1.0 / k_o, (r_o - nodes[-1]) / 4.0)))
+    while nodes[-1] < end:
+        nodes.append(min(end, nodes[-1] + min(1.0 / k_o, (r_o - nodes[-1]) / 4.0)))
     nodes = np.array(nodes)
     y = [np.array([0.0, 1.0 / u_plus(0.0, sol)])]
     for m in _transfer(nodes[:-1], np.diff(nodes), k_o, r_o):
@@ -278,7 +320,8 @@ def test_u_minus_left_of_ro_matches_an_outward_shot(z, n):
     grid = make_radial_grid(sol).samples
     zeros = np.array(interior_zeros(sol))
     near = zeros[:, None] + r_o * np.array([-1e-8, -1e-11, 0.0, 1e-11, 1e-8])
-    r = np.sort(np.concatenate([grid[grid <= 0.999 * r_o], near.ravel()]))
+    at_ro = r_o * (1.0 - np.array([1e-6, 1e-9, 1e-12]))
+    r = np.sort(np.concatenate([grid[grid <= 0.999 * r_o], near.ravel(), at_ro]))
     u, du = _outward_shot(sol, r)
     um, dum = u_minus_and_slope(r, sol)
     assert np.max(np.abs(um - u)) <= 1e-13 * np.max(np.abs(u))
@@ -380,17 +423,24 @@ def test_underflowing_state_is_refused_before_its_jacobi_matrix():
 
 @pytest.fixture(scope="module")
 def whittaker():
-    """u_- right of r_o from mpmath.whitw, per (n, rho): it does not depend on Z."""
+    """u_- and u_-' right of r_o from mpmath.whitw at the float radius r: they
+    depend on Z only through r/r_o (and u_-' through the factor 1/r_o), taken
+    exactly, since next to r_o rounding r to a float moves u_- by up to about
+    1e-11.  W' comes from x*W'_(k,m)(x) = (x/2 - k)*W_(k,m)(x) - W_(k+1,m)(x)
+    (DLMF 13.15.23)."""
     mpmath = pytest.importorskip("mpmath")
     cache = {}
 
-    def value(n, rho):
-        if (n, rho) not in cache:
-            with mpmath.workdps(30):
-                x = 4 * n * (mpmath.mpf(rho) - 1)
-                cache[n, rho] = float(
-                    -mpmath.exp(-2 * n) * mpmath.factorial(n) * mpmath.whitw(-n, 0.5, x))
-        return cache[n, rho]
+    def value(n, r, r_o):
+        with mpmath.workdps(30):
+            rho = mpmath.mpf(r) / mpmath.mpf(r_o)
+            if (n, rho) not in cache:
+                x, c = 4 * n * (rho - 1), -mpmath.exp(-2 * n) * mpmath.factorial(n)
+                w = mpmath.whitw(-n, 0.5, x)
+                dw = ((x / 2 + n) * w - mpmath.whitw(1 - n, 0.5, x)) / x
+                cache[n, rho] = float(c * w), float(c * dw * 4 * n)
+            u, du = cache[n, rho]
+            return u, du / r_o
 
     return value
 
@@ -398,14 +448,19 @@ def whittaker():
 @pytest.mark.parametrize("z", [1, 2, 92])
 @pytest.mark.parametrize("n", [1, 2, 4, 6, 9, 12, 16, 20, 25])
 def test_u_minus_right_of_ro_matches_whittaker(whittaker, z, n):
-    # u_- = -e^(-2n)*n!*W_(-n,1/2)(2*k_o*(r - r_o)) (DLMF 13.14), on both sides
-    # of the tail start r_t = r_o*(1 + 3/(2n)) and out to 10*r_o, where u_+^2
-    # overflows from n = 16 on
-    rhos = [1.01, 1.05, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0]
+    # u_- = -e^(-2n)*n!*W_(-n,1/2)(2*k_o*(r - r_o)) (DLMF 13.14), and its slope:
+    # from 1e-12*r_o right of r_o, across the panels graded away from r_o's
+    # window, on both sides of the tail start r_t = r_o*(1 + 3/(2n)) and out to
+    # 10*r_o, where u_+^2 overflows from n = 16 on
+    eps = [1e-12, 1e-9, 1e-6, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3]
+    rhos = [1.0 + e for e in eps] + [1.01, 1.05, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0]
     sol = build_series(AtomSpec(z, n))
-    got = u_minus(np.array(rhos) * sol.state.r_o, sol)
-    want = [whittaker(n, rho) for rho in rhos]
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    r_o = sol.state.r_o
+    r = np.array(rhos) * r_o
+    want = np.array([whittaker(n, x, r_o) for x in r.tolist()])
+    um, dum = u_minus_and_slope(r, sol)
+    np.testing.assert_allclose(um, want[:, 0], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(dum, want[:, 1], rtol=1e-12, atol=0.0)
 
 
 def test_sampled_wave_matches_pointwise_evaluation(solutions, waves):
