@@ -186,12 +186,23 @@ def track_superposition_nodes(
     A slice whose wave is uniformly below 1e-9 of the global amplitude is
     reported degenerate and contributes no nodes.  Weights that are all zero
     are refused, and so is a repeated state: distinct states are linearly
-    independent, so only these two can make the superposition vanish.
+    independent, so only these two can make the superposition vanish.  Weights
+    and times that are not finite are refused.
+
+    The superposed values of all slices form one (time, radius) array, and
+    one test over it finds every bracket: a sample where the wave is exactly
+    0 (reported there), a sign change across an excluded neighborhood
+    (reported at its center), and any other sign change (bisected on the
+    interpolants).
     """
     if len(times) < 2:
         raise ValueError("need at least 2 time samples")
     if not waves or len(waves) != len(weights):
         raise ValueError("need equally many waves and weights, at least one each")
+    for name, xs in (("weights", weights), ("times", times)):
+        bad = next((x for x in xs if not math.isfinite(x)), None)
+        if bad is not None:
+            raise ValueError(f"{name} must be finite, got {bad}")
     if not any(weights):
         raise ValueError("weights are all zero: the superposition vanishes everywhere")
     if len({w.atom.z for w in waves}) > 1:
@@ -205,34 +216,30 @@ def track_superposition_nodes(
     jump = 0.1 * r_o_ref
     rs = radial_grid.samples
     profiles = [np.array([w.r_of(float(r)) for r in rs]) for w in waves]
-
-    def values_at(t: float) -> np.ndarray:
-        acc = np.zeros(len(rs))
-        for c, prof, w in zip(weights, profiles, waves):
-            acc += c * prof * math.cos(w.state.omega * t)
-        return acc
-
-    max_abs = max(float(np.max(np.abs(values_at(t)))) for t in times)
-    slices: list[TimeSlice] = []
-    for t in times:
-        vals = values_at(t)
-        if float(np.max(np.abs(vals))) < 1e-9 * max_abs:
-            slices.append(TimeSlice(t=t, radii=(), degenerate=True))
-            continue
-        radii = []
-        for i in range(len(rs) - 1):
-            a, b = float(vals[i]), float(vals[i + 1])
-            if a == 0.0:
-                radii.append(float(rs[i]))
-            elif a * b < 0.0:
-                # a sign change across an excluded neighborhood (some
-                # state's r_o) cannot be bisected; report its center
-                zone = [0.5 * (lo + hi) for lo, hi in radial_grid.exclusion_zones
-                        if rs[i] <= lo and hi <= rs[i + 1]]
-                radii.append(zone[0] if zone else _bisect_zero(
-                    lambda r, _t=t: superpose(waves, weights, r, _t),
-                    float(rs[i]), float(rs[i + 1]), 1e-8 * r_o_ref))
-        slices.append(TimeSlice(t=t, radii=tuple(radii), degenerate=False))
+    # the superposed values of every slice, one row per time:
+    # (c*R)*cos(omega*t) added wave by wave
+    vals = np.zeros((len(times), len(rs)))
+    for c, prof, w in zip(weights, profiles, waves):
+        vals += (c * prof) * np.array([[math.cos(w.state.omega * t)] for t in times])
+    peak = np.max(np.abs(vals), axis=1)
+    degenerate = peak < 1e-9 * np.max(peak)
+    a, b = vals[:, :-1], vals[:, 1:]
+    hit = ((a == 0.0) | (a * b < 0.0)) & ~degenerate[:, None]
+    # a sign change across an excluded neighborhood (some state's r_o) cannot
+    # be bisected: its interval reports the first such zone's center
+    centre = {i: 0.5 * (lo + hi) for lo, hi in reversed(radial_grid.exclusion_zones)
+              for i in np.flatnonzero((rs[:-1] <= lo) & (hi <= rs[1:])).tolist()}
+    radii: list[list[float]] = [[] for _ in times]
+    for k, i in np.argwhere(hit).tolist():
+        if a[k, i] == 0.0:
+            radii[k].append(float(rs[i]))
+        elif i in centre:
+            radii[k].append(centre[i])
+        else:
+            radii[k].append(_bisect_zero(lambda r, t=times[k]: superpose(waves, weights, r, t),
+                                         float(rs[i]), float(rs[i + 1]), 1e-8 * r_o_ref))
+    slices = [TimeSlice(t=t, radii=tuple(rk), degenerate=dk)
+              for t, rk, dk in zip(times, radii, degenerate.tolist())]
 
     tracks: list[list[tuple[float, float]]] = []
     open_tracks: list[list[tuple[float, float]]] = []

@@ -25,8 +25,9 @@ and nothing else.
 
 Right of r_o no zero bounds the panels, so they are graded away from r_o's
 window by factors of 3 up to the 1/k_o panel length.  They end at
-r_t = r_o + 3/k_o.  From there on, r' = r + t/(2*k_o) makes the integral to
-infinity a Gauss-Laguerre sum, with P = exp(-k_o*r)*u_+:
+r_t = r_o + 3/k_o, or r_o + (n/7)/k_o from n = 24 on.  From there on,
+r' = r + t/(2*k_o) makes the integral to infinity a Gauss-Laguerre sum,
+with P = exp(-k_o*r)*u_+:
 u_- = exp(-k_o*r)*P(r)/(2*k_o) * sum_j w_j/P(r + t_j/(2*k_o))^2.  No cutoff.
 """
 
@@ -113,8 +114,13 @@ _TERMS = 18
 # |u_+| beyond which u_+^2 overflows float64
 _U_PLUS_MAX = math.sqrt(sys.float_info.max)
 # The panels end at r_t = r_o + _TAIL_START/k_o; from there a _LAGUERRE-node
-# Gauss-Laguerre sum reaches rounding (a start of 1/k_o leaves 1.6e-9).
+# Gauss-Laguerre sum reaches rounding (a start of 1/k_o leaves 1.6e-9).  The
+# zeros of u_+ next to r_o put poles of its integrand near t = -2*k_o*(r - r_o),
+# and more of them as n grows: from n = _TAIL_LATE on, a start at 3/k_o misses
+# Whittaker's W by 3.8e-13 (n = 24) up to 4.5e-11 (n = 38), so the sum starts
+# at (n/7)/k_o, which keeps it within 2.6e-13 of W up to n = 80 (Z = 1).
 _TAIL_START = 3.0
+_TAIL_LATE = 24
 _LAGUERRE = 40
 
 
@@ -131,7 +137,8 @@ class WronskianEvaluator:
         self.sol = sol
         self.quad_order = quad_order
         self.k_o, self.r_o = sol.state.k_o, sol.state.r_o
-        self._r_t = self.r_o + _TAIL_START / self.k_o
+        n = sol.atom.n
+        self._r_t = self.r_o + (_TAIL_START if n < _TAIL_LATE else n / 7.0) / self.k_o
         # int_{r_t}^inf dr'/u_+^2 = u_-(r_t)/u_+(r_t)
         rt = np.array([self._r_t])
         self._tail_rt = self._evaluate_tail(rt, False)[0][0] / _u_plus_series(self._r_t, sol)

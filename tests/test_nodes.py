@@ -226,6 +226,32 @@ def test_superposition_nodes_actually_move(waves):
     assert moved
 
 
+def test_tracking_sample_where_the_wave_is_zero_is_reported_there(waves):
+    import dataclasses
+
+    # n = 1 changes sign only across the r_o gap; a sample zeroed half way to
+    # r_o interpolates to exactly 0 there and adds a node at that sample
+    wave = waves[1]
+    r = wave.grid.samples
+    i = int(np.argmin(np.abs(r - 0.5 * wave.state.r_o)))
+    vals = wave.r_vals.copy()
+    vals[i] = 0.0
+    zeroed = dataclasses.replace(wave, r_vals=vals, _interp=[])
+    tracked = track_superposition_nodes([zeroed], [1.0], [0.0, 1.0], wave.grid)
+    (lo, hi), = wave.grid.exclusion_zones
+    for sl in tracked.slices:
+        assert sl.radii == (r[i], 0.5 * (lo + hi))
+
+
+def test_tracking_sign_change_across_the_ro_gap_is_its_centre(waves):
+    # no sample lies in the gap around r_o, so the crossing there is not
+    # bisected: it is reported at the gap's centre
+    wave = waves[1]
+    (lo, hi), = wave.grid.exclusion_zones
+    tracked = track_superposition_nodes([wave], [1.0], [0.0, 1.0], wave.grid)
+    assert [sl.radii for sl in tracked.slices] == [(0.5 * (lo + hi),)] * 2
+
+
 def test_track_validation(waves):
     with pytest.raises(ValueError):
         track_superposition_nodes([waves[1]], [1.0], [0.0], waves[1].grid)
@@ -235,6 +261,13 @@ def test_track_validation(waves):
         track_superposition_nodes([waves[1]], [1.0, 2.0], [0.0, 1.0], waves[1].grid)
     with pytest.raises(ValueError, match="all zero"):
         track_superposition_nodes([waves[1], waves[2]], [0.0, 0.0], [0.0, 1.0], waves[1].grid)
+    # a weight or time that is not finite is refused, not tracked into empty slices
+    grid = common_tracking_grid([waves[1], waves[3]])
+    for weights, times in (([1.0, math.nan], [0.0, 1.0]), ([math.inf, 1.0], [0.0, 1.0]),
+                           ([1.0, -math.inf], [0.0, 1.0]), ([1.0, -1.0], [0.0, math.nan]),
+                           ([1.0, -1.0], [math.inf, 1.0])):
+        with pytest.raises(ValueError, match="must be finite"):
+            track_superposition_nodes([waves[1], waves[3]], weights, times, grid)
     # u_1 - u_1 vanishes everywhere: a repeated state is refused, not tracked
     with pytest.raises(ValueError, match="n=1 is repeated"):
         track_superposition_nodes([waves[1], waves[2], waves[1]], [1.0, 1.0, -1.0], [0.0, 1.0],

@@ -446,17 +446,20 @@ def whittaker():
 
 
 @pytest.mark.parametrize("z", [1, 2, 92])
-@pytest.mark.parametrize("n", [1, 2, 4, 6, 9, 12, 16, 20, 25])
+@pytest.mark.parametrize("n", [1, 2, 4, 6, 9, 12, 16, 20, 25, 30, 35, 38])
 def test_u_minus_right_of_ro_matches_whittaker(whittaker, z, n):
     # u_- = -e^(-2n)*n!*W_(-n,1/2)(2*k_o*(r - r_o)) (DLMF 13.14), and its slope:
     # from 1e-12*r_o right of r_o, across the panels graded away from r_o's
-    # window, on both sides of the tail start r_t = r_o*(1 + 3/(2n)) and out to
-    # 10*r_o, where u_+^2 overflows from n = 16 on
+    # window, on both sides of r_o + 3/k_o = r_o*(1 + 3/(2n)) and of the tail
+    # start r_t (the same radius below n = 24), and out to 10*r_o, where u_+^2
+    # overflows from n = 16 on
     eps = [1e-12, 1e-9, 1e-6, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3]
     rhos = [1.0 + e for e in eps] + [1.01, 1.05, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0]
     sol = build_series(AtomSpec(z, n))
-    r_o = sol.state.r_o
-    r = np.array(rhos) * r_o
+    r_o, k_o = sol.state.r_o, sol.state.k_o
+    starts = sorted({r_o + 3.0 / k_o, WronskianEvaluator(sol)._r_t})
+    r = np.r_[np.array(rhos) * r_o,
+              [s + d / k_o for s in starts for d in (-0.5, -1e-3, 1e-3, 0.5)]]
     want = np.array([whittaker(n, x, r_o) for x in r.tolist()])
     um, dum = u_minus_and_slope(r, sol)
     np.testing.assert_allclose(um, want[:, 0], rtol=1e-12, atol=0.0)
