@@ -20,8 +20,9 @@ r_o is singular: the ODE coefficient has a pole, c1 != 0, and u_- has
 genuinely opposite one-sided limits -/+ 1/u_+'(r_o).  Its window takes the
 same local form plus c1*u_+*ln|r - r_o|, so u_- and u_-' stay exact a hair to
 either side.  Every evaluation goes through WronskianEvaluator.u_minus_many,
-which refuses r = r_o exactly (and radii that are not finite and positive)
-and nothing else.
+which refuses r = r_o exactly, radii that are not finite and positive, and
+values that leave float64 (_check_range, which sample_wave applies too: the
+default 3*r_o grid serves n <= 76, and at n = 77 R underflows at its far end).
 
 Right of r_o no zero bounds the panels, so they are graded away from r_o's
 window by factors of 3 up to the 1/k_o panel length.  They end at
@@ -34,7 +35,6 @@ u_- = exp(-k_o*r)*P(r)/(2*k_o) * sum_j w_j/P(r + t_j/(2*k_o))^2.  No cutoff.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -42,8 +42,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .hermite import hermite
-from .series import (SeriesSolution, interior_zeros, product_form, u_plus as _u_plus_series,
-                     u_plus_prime)
+from .series import SeriesSolution, interior_zeros, product_form, u_plus, u_plus_prime
 from .units import AtomSpec, StateParams
 
 
@@ -111,8 +110,6 @@ _BLOCK = 1024
 # |x_k| is at most 0.45*_NEAR there, and _TERMS terms reach rounding.
 _NEAR = 0.25
 _TERMS = 18
-# |u_+| beyond which u_+^2 overflows float64
-_U_PLUS_MAX = math.sqrt(sys.float_info.max)
 # The panels end at r_t = r_o + _TAIL_START/k_o; from there a _LAGUERRE-node
 # Gauss-Laguerre sum reaches rounding (a start of 1/k_o leaves 1.6e-9).  The
 # zeros of u_+ next to r_o put poles of its integrand near t = -2*k_o*(r - r_o),
@@ -130,6 +127,21 @@ def _laguerre() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.laguerre.laggauss(_LAGUERRE)
 
 
+def _check_range(sol: SeriesSolution, r: np.ndarray, values: dict) -> None:
+    """Refuse a state whose values at radii r leave float64: each must be finite, and
+    u_+, u_- and R (not a slope, whose name ends in ') no nonzero subnormal, nor 0
+    right of r_o, where they have no zero and a 0 is underflow."""
+    for name, v in values.items():
+        ok = np.isfinite(v)
+        if not name.endswith("'"):
+            ok &= (np.abs(v) >= np.finfo(float).tiny) | ((v == 0.0) & (r < sol.state.r_o))
+        if not ok.all():
+            i = np.argmin(ok)
+            x, what = float(r[i]), "underflows" if np.isfinite(v[i]) else "overflows"
+            raise ValueError(f"state (Z={sol.atom.z}, n={sol.atom.n}) is out of float64 range:"
+                             f" {name} {what} at r={x:.6g} ({x / sol.state.r_o:.4g}*r_o)")
+
+
 class WronskianEvaluator:
     """Evaluates u_- for one series solution, with cached panel integrals."""
 
@@ -141,7 +153,7 @@ class WronskianEvaluator:
         self._r_t = self.r_o + (_TAIL_START if n < _TAIL_LATE else n / 7.0) / self.k_o
         # int_{r_t}^inf dr'/u_+^2 = u_-(r_t)/u_+(r_t)
         rt = np.array([self._r_t])
-        self._tail_rt = self._evaluate_tail(rt, False)[0][0] / _u_plus_series(self._r_t, sol)
+        self._tail_rt = self._evaluate_tail(rt, False)[0][0] / u_plus(self._r_t, sol)
         self._gauss = np.polynomial.legendre.leggauss(quad_order)
         self._pole_data()
         self._build_panels()
@@ -186,17 +198,6 @@ class WronskianEvaluator:
 
     # -- integrand -----------------------------------------------------------
 
-    def _u_plus(self, r: np.ndarray) -> np.ndarray:
-        """u_+ at radii r; ValueError where u_+^2 would overflow float64."""
-        with np.errstate(over="ignore"):
-            up = np.asarray(_u_plus_series(r, self.sol))
-        ok = np.ravel(np.abs(up) < _U_PLUS_MAX)
-        if not ok.all():
-            x = float(np.ravel(r)[np.argmin(ok)])
-            raise ValueError(f"state (Z={self.sol.atom.z}, n={self.sol.atom.n}) is out of float64"
-                             f" range: u_+^2 overflows at r={x:.6g} ({x / self.r_o:.4g}*r_o)")
-        return up
-
     def _regularized_integrand(self, x: np.ndarray, i: np.ndarray) -> np.ndarray:
         """1/u_+^2 at points x, one row per panel i, less the principal part in a window.
 
@@ -206,7 +207,7 @@ class WronskianEvaluator:
         kind, p = self._kind[i], self._pole[i]
         # rows near a zero are overwritten below, and u_+ may vanish on them
         with np.errstate(divide="ignore", over="ignore"):
-            g = 1.0 / _u_plus_series(x, self.sol) ** 2
+            g = 1.0 / u_plus(x, self.sol) ** 2
         sub = np.flatnonzero(kind == 1)
         ps = p[sub, None]
         s = self._offset(x[sub], ps)
@@ -280,7 +281,8 @@ class WronskianEvaluator:
         and u_-' = u_+'*T + sign*(u_+*T~ + c1*(u_+'*ln|s| + q) - c2*q'), T~ the
         regularized integrand.  Only at r_o is c1 != 0.
         """
-        up = self._u_plus(r)
+        with np.errstate(over="ignore"):  # an overflowing u_+ is refused by _check_range
+            up = u_plus(r, self.sol)
         i, zone = self._panels(r)
         p = self._pole[i]
         inner = r < self.r_o
@@ -326,7 +328,7 @@ class WronskianEvaluator:
         """u_- and, if slope, u_-' at radii r >= r_t, from the Gauss-Laguerre sum alone.
 
         P(r + t/(2*k_o))/P(r) = prod_k (1 + t*c_k) >= 1, c_k = 1/(2*k_o*(s_k - s)) over
-        the zeros s_k of P (0 among them), and 1/u_+ = exp(-k_o*r)/P: nothing overflows.
+        the zeros s_k of P (0 among them), and 1/u_+ = exp(-k_o*r)/P: no e^(k_o*r) is formed.
         u_-' = (u_+'*u_- - 1)/u_+, with u_+'/u_+ = k_o - (dP/ds)/P = k_o*(1 + 2*sum_k c_k).
         """
         t, w = _laguerre()
@@ -335,7 +337,8 @@ class WronskianEvaluator:
         f = np.ones((len(r), len(t)))
         for ck in c.T:
             f *= 1.0 + t * ck[:, None]
-        inv = np.exp(-self.k_o * r) / product_form(s, self.sol)[0]
+        with np.errstate(over="ignore"):  # P overflows only far past where u_- underflows
+            inv = np.exp(-self.k_o * r) / product_form(s, self.sol)[0]
         um = inv * (f**-2.0 @ w) / (2.0 * self.k_o)
         return (um, self.k_o * (1.0 + 2.0 * c.sum(axis=1)) * um - inv) if slope else (um,)
 
@@ -355,8 +358,8 @@ class WronskianEvaluator:
         """(u_-,), or with slope (u_-, u_-'), at every radius of r: panels below r_t,
         the Gauss-Laguerre sum from it, _BLOCK radii at a time.
 
-        Raises ValueError if any radius is not finite, not positive, or exactly
-        r_o (the message names the one-sided limits there).
+        Raises ValueError at a radius not finite, not positive or exactly r_o (naming
+        the one-sided limits there), and where u_- or u_-' leaves float64 (_check_range).
         """
         r = np.asarray(r, dtype=float)
         flat = r.ravel()
@@ -370,6 +373,7 @@ class WronskianEvaluator:
                 if part.any():
                     for x, y in zip(out, evaluate(block[part], slope)):
                         x[start:start + _BLOCK][part] = y
+        _check_range(self.sol, flat, dict(zip(("u_-", "u_-'"), out)))
         return tuple(x.reshape(r.shape) for x in out)
 
     def limits_at_ro(self) -> tuple[float, float]:
@@ -428,25 +432,20 @@ class BoundWave:
 def sample_wave(sol: SeriesSolution, grid: RadialGrid) -> BoundWave:
     """Sample u_-, u_+, R = u_-/r and exact dR/dr on a grid respecting exclusion zones.
 
-    u_-' comes with u_- from the evaluator, and R' = (u_-' - R)/r.
+    u_-' comes with u_- from the evaluator, and R' = (u_-' - R)/r.  ValueError where
+    u_+, u_-, R or a slope leaves float64 (_check_range).
     """
     ev = _evaluator(sol)
     r = grid.samples
-    up = ev._u_plus(r)
+    with np.errstate(over="ignore"):
+        up = u_plus(r, sol)
     um, dum = ev.u_minus_many(r, slope=True)
     rv = um / r
+    rs = (dum - rv) / r
+    _check_range(sol, r, {"u_+": up, "R": rv, "R'": rs})  # u_minus_many checked u_-, u_-'
     left, right = ev.limits_at_ro()
-    return BoundWave(
-        atom=sol.atom,
-        state=sol.state,
-        grid=grid,
-        u_minus=um,
-        u_plus_vals=up,
-        r_vals=rv,
-        r_slopes=(dum - rv) / r,
-        left_limit_at_ro=left,
-        right_limit_at_ro=right,
-    )
+    return BoundWave(atom=sol.atom, state=sol.state, grid=grid, u_minus=um, u_plus_vals=up,
+                     r_vals=rv, r_slopes=rs, left_limit_at_ro=left, right_limit_at_ro=right)
 
 
 def wave_full(r: float, t: float, wave: BoundWave) -> float:

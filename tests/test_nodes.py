@@ -63,7 +63,7 @@ def test_plain_zeros_match_roots_of_u_minus(n):
         assert np.max(np.abs(np.array(plain) - roots)) <= 1e-8 * r_o
 
 
-@pytest.mark.parametrize("n", [11, 12, 14, 15, 20, 26, 30])
+@pytest.mark.parametrize("n", [11, 12, 14, 15, 20, 26, 30, 50, 75])
 def test_plain_zeros_match_an_ode_solution_from_the_origin(n):
     # u_- = u_+ * int_0^r dr'/u_+^2 is the solution that vanishes at r = 0;
     # integrate the radial ODE u'' = -k_o^2*r/(r_o - r)*u from there, up to

@@ -288,16 +288,22 @@ def _outward_shot(sol, r):
     """u and u' at radii r < r_o, from u = 0, u' = 1/u_+(0) at the origin.
 
     Chains the battery's Taylor transfer matrices outward in steps of
-    min(1/k_o, (r_o - r)/4) up to the largest radius, and takes one more step
-    from the node at or left of each radius.  It shares only u_+(0) with the
-    Wronskian construction.
+    min(1/k_o, (r_o - r)/4, 2/sqrt(q)) up to the largest radius, and takes one
+    more step from the node at or left of each radius.  q = k_o^2*r/(r_o - r)
+    is the local wavenumber squared: it grows like n^2 next to r_o, where a step
+    of (r_o - r)/4 alone would span several oscillations.  It shares only
+    u_+(0) with the Wronskian construction.
     """
     from vwave.verify import _transfer
 
     k_o, r_o, end = sol.state.k_o, sol.state.r_o, float(np.max(r))
     nodes = [0.0]
     while nodes[-1] < end:
-        nodes.append(min(end, nodes[-1] + min(1.0 / k_o, (r_o - nodes[-1]) / 4.0)))
+        x = nodes[-1]
+        step = min(1.0 / k_o, (r_o - x) / 4.0)
+        if x > 0.0:
+            step = min(step, 2.0 / (k_o * math.sqrt(x / (r_o - x))))
+        nodes.append(min(end, x + step))
     nodes = np.array(nodes)
     y = [np.array([0.0, 1.0 / u_plus(0.0, sol)])]
     for m in _transfer(nodes[:-1], np.diff(nodes), k_o, r_o):
@@ -313,7 +319,7 @@ def _outward_shot(sol, r):
 
 
 @pytest.mark.parametrize("z", [1, 3, 5])
-@pytest.mark.parametrize("n", [2, 3, 6, 10, 20, 30])
+@pytest.mark.parametrize("n", [2, 3, 6, 10, 20, 30, 50])
 def test_u_minus_left_of_ro_matches_an_outward_shot(z, n):
     sol = build_series(AtomSpec(z, n))
     r_o = sol.state.r_o
@@ -395,15 +401,32 @@ def test_sampling_raises_no_warnings(z, samples):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for n in [*range(1, 13), 20, 26, 30, 35, 38]:
+        for n in [*range(1, 13), 20, 26, 30, 35, 38, 50, 60, 70, 76]:
             sol = build_series(AtomSpec(z, n))
             find_nodes(sample_wave(sol, make_radial_grid(sol, samples=samples)))
-        # past that u_+^2 overflows float64 on the grid, and at n = 100 (Z = 1)
-        # the coefficient a_n underflows: refused, not evaluated
-        for n in (39, 40, 100):
-            with pytest.raises(ValueError, match=rf"\(Z={z}, n={n}\) is out of float64 range"):
+        # past that R = u_-/r underflows at the grid's far end, and at n = 100
+        # (Z = 1) the coefficient a_n underflows: refused, not evaluated
+        for n, what in ((77, ": R underflows at r="), (100, "")):
+            refusal = rf"\(Z={z}, n={n}\) is out of float64 range{what}"
+            with pytest.raises(ValueError, match=refusal):
                 sol = build_series(AtomSpec(z, n))
                 sample_wave(sol, make_radial_grid(sol, samples=samples))
+
+
+def test_values_leaving_float64_are_refused():
+    # u_- at (Z, n) = (1, 1) is a subnormal at r = 705 and underflows to -0.0
+    # from r = 740 on; a grid out to 351.4*r_o keeps u_+ finite but puts
+    # subnormal u_- values on its far end
+    import warnings
+
+    sol = build_series(AtomSpec(1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (705.0, 800.0):
+            with pytest.raises(ValueError, match=rf"\(Z=1, n=1\).*u_- underflows at r={r:g}"):
+                u_minus(r, sol)
+        with pytest.raises(ValueError, match=r"\(Z=1, n=1\).*u_- underflows"):
+            sample_wave(sol, make_radial_grid(sol, r_max_factor=351.4, samples=20000))
 
 
 def test_underflowing_state_is_refused_before_its_jacobi_matrix():
@@ -451,12 +474,18 @@ def test_u_minus_right_of_ro_matches_whittaker(whittaker, z, n):
     # u_- = -e^(-2n)*n!*W_(-n,1/2)(2*k_o*(r - r_o)) (DLMF 13.14), and its slope:
     # from 1e-12*r_o right of r_o, across the panels graded away from r_o's
     # window, on both sides of r_o + 3/k_o = r_o*(1 + 3/(2n)) and of the tail
-    # start r_t (the same radius below n = 24), and out to 10*r_o, where u_+^2
-    # overflows from n = 16 on
+    # start r_t (the same radius below n = 24), and out to 10*r_o; there u_-
+    # leaves float64's normal range from n = 29 on (-3.0e-320 at n = 30,
+    # -1.2e-373 at n = 35), and is refused
     eps = [1e-12, 1e-9, 1e-6, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3]
-    rhos = [1.0 + e for e in eps] + [1.01, 1.05, 1.2, 1.5, 2.0, 3.0, 5.0, 10.0]
+    rhos = [1.0 + e for e in eps] + [1.01, 1.05, 1.2, 1.5, 2.0, 3.0, 5.0]
     sol = build_series(AtomSpec(z, n))
     r_o, k_o = sol.state.r_o, sol.state.k_o
+    if n < 29:
+        rhos.append(10.0)
+    else:
+        with pytest.raises(ValueError, match=rf"\(Z={z}, n={n}\).*u_- underflows at r="):
+            u_minus(10.0 * r_o, sol)
     starts = sorted({r_o + 3.0 / k_o, WronskianEvaluator(sol)._r_t})
     r = np.r_[np.array(rhos) * r_o,
               [s + d / k_o for s in starts for d in (-0.5, -1e-3, 1e-3, 0.5)]]
