@@ -3,12 +3,21 @@
 Subcommands: state, free, wave, nodes, superpose, verify, figures.  Output is
 deterministic (sorted JSON keys, 17-significant-digit floats, LF endings);
 flags override values from an optional key=value config file.
+
+Thread policy: `main` sets OPENBLAS_NUM_THREADS=1 before a subcommand loads
+numpy, unless the variable is already set or numpy is already loaded, so a
+`vwave` process runs OpenBLAS with no worker thread.  vwave's linear algebra
+is tiny (an (n-1)x(n-1) eigvalsh, matrix-vector products of at most 1024 x 40),
+and a worker only costs: it spins after start-up and after each threaded call,
+taking CPU time from the main thread.  `OPENBLAS_NUM_THREADS=N vwave ...`
+overrides it.  Importing `vwave` or `vwave.cli` changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -302,6 +311,8 @@ _SUBCOMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    if "numpy" not in sys.modules:  # OpenBLAS reads it once, when numpy loads
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     run, _, keys = _SUBCOMMANDS[args.command]
     try:

@@ -137,9 +137,14 @@ def _check_range(sol: SeriesSolution, r: np.ndarray, values: dict) -> None:
             ok &= (np.abs(v) >= np.finfo(float).tiny) | ((v == 0.0) & (r < sol.state.r_o))
         if not ok.all():
             i = np.argmin(ok)
-            x, what = float(r[i]), "underflows" if np.isfinite(v[i]) else "overflows"
-            raise ValueError(f"state (Z={sol.atom.z}, n={sol.atom.n}) is out of float64 range:"
-                             f" {name} {what} at r={x:.6g} ({x / sol.state.r_o:.4g}*r_o)")
+            raise _out_of_range(sol, name, v[i], float(r[i]))
+
+
+def _out_of_range(sol: SeriesSolution, name: str, v: float, r: float, at: str = "r"):
+    """The refusal of a state whose value v of quantity name at radius r left float64."""
+    what = "underflows" if np.isfinite(v) else "overflows"
+    return ValueError(f"state (Z={sol.atom.z}, n={sol.atom.n}) is out of float64 range:"
+                      f" {name} {what} at {at}={r:.6g} ({r / sol.state.r_o:.4g}*r_o)")
 
 
 class WronskianEvaluator:
@@ -152,8 +157,11 @@ class WronskianEvaluator:
         n = sol.atom.n
         self._r_t = self.r_o + (_TAIL_START if n < _TAIL_LATE else n / 7.0) / self.k_o
         # int_{r_t}^inf dr'/u_+^2 = u_-(r_t)/u_+(r_t)
-        rt = np.array([self._r_t])
-        self._tail_rt = self._evaluate_tail(rt, False)[0][0] / u_plus(self._r_t, sol)
+        with np.errstate(all="ignore"):
+            up_rt = u_plus(self._r_t, sol)
+        if not (math.isfinite(up_rt) and up_rt != 0.0):
+            raise _out_of_range(sol, "u_+", up_rt, self._r_t, "r_t")
+        self._tail_rt = self._evaluate_tail(np.array([self._r_t]), False)[0][0] / up_rt
         self._gauss = np.polynomial.legendre.leggauss(quad_order)
         self._pole_data()
         self._build_panels()
@@ -174,8 +182,13 @@ class WronskianEvaluator:
         """
         self._z = z = np.array(interior_zeros(self.sol) + [self.r_o])
         self._depth = np.array(self.sol.roots[::-1] + (0.0,))  # s_j of each zero, 0 for r_o
-        self._d1 = u_plus_prime(z, self.sol)
-        self._c2 = 1.0 / self._d1**2
+        with np.errstate(all="ignore"):
+            self._d1 = u_plus_prime(z, self.sol)
+            self._c2 = 1.0 / self._d1**2
+        bad = ~(np.isfinite(self._c2) & (self._c2 != 0.0))
+        if bad.any():
+            i = np.argmax(bad)
+            raise _out_of_range(self.sol, "1/u_+'(z)^2", self._c2[i], float(z[i]), "the zero z")
         l1 = np.zeros(len(z))
         l1[-1] = -self.k_o**2 * self.r_o
         self._c1 = l1 * self._c2

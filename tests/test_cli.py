@@ -1,6 +1,7 @@
 """CLI behavior: outputs, determinism, schemas, exit codes, config files."""
 
 import json
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -138,6 +139,45 @@ def test_cli_import_loads_no_numpy():
     assert "numpy" not in loaded
     assert {m for m in loaded if m.startswith("vwave")} == {
         "vwave", "vwave.cli", "vwave.output", "vwave.units"}
+
+
+def _blas_threads_after(probe, preset=None):
+    """OPENBLAS_NUM_THREADS and the process's OS thread count (None off Linux) after
+    a fresh interpreter runs probe, the variable preset to preset or unset."""
+    import os
+    import subprocess
+
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe += (
+        "\nimport os\ntask = '/proc/self/task'\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'),"
+        " len(os.listdir(task)) if os.path.isdir(task) else None)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.splitlines()[-1].split()
+
+
+_RUN_NODES = "import vwave.cli\nvwave.cli.main(['nodes', '--z', '1', '--n', '3'])"
+
+
+def test_cli_runs_blas_with_one_thread():
+    setting, threads = _blas_threads_after(_RUN_NODES)
+    assert setting == "1"
+    if sys.platform.startswith("linux"):
+        assert threads == "1"
+
+
+def test_user_blas_thread_setting_wins():
+    assert _blas_threads_after(_RUN_NODES, preset="2")[0] == "2"
+
+
+def test_process_that_loaded_numpy_keeps_its_blas_setting():
+    # OpenBLAS read the environment when numpy loaded: setting it now would
+    # only mislead the child processes
+    assert _blas_threads_after("import numpy\n" + _RUN_NODES)[0] == "None"
 
 
 @pytest.mark.parametrize("argv", [

@@ -429,6 +429,26 @@ def test_values_leaving_float64_are_refused():
             sample_wave(sol, make_radial_grid(sol, r_max_factor=351.4, samples=20000))
 
 
+def test_evaluator_build_leaving_float64_names_its_cause():
+    # build_series admits these states, but the evaluator's pole data or its
+    # tail anchor u_+(r_t) leaves float64: refused by name, with no warning
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z, n, cause in (
+            (92, 178, r"1/u_\+'\(z\)\^2 overflows at the zero z="),
+            (118, 185, r"1/u_\+'\(z\)\^2 underflows at the zero z="),
+            (1000, 278, r"u_\+ overflows at r_t="),
+        ):
+            sol = build_series(AtomSpec(z, n))
+            refusal = rf"\(Z={z}, n={n}\) is out of float64 range: {cause}"
+            with pytest.raises(ValueError, match=refusal):
+                WronskianEvaluator(sol)
+        for z in (1, 92):
+            WronskianEvaluator(build_series(AtomSpec(z, 76)))
+
+
 def test_underflowing_state_is_refused_before_its_jacobi_matrix():
     # a_n underflows long before n = 2000, whose dense Jacobi matrix alone
     # would take 32 MB
