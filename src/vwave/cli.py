@@ -64,7 +64,8 @@ _OPTIONS = {
     "branches": _Option(_number(int, 1), "6", "number of moving nodes"),
     "t": _Option(_number(float), "0.0", "time of the node positions"),
     "states": _Option(_list_of(_number(int)), "1,2", "comma-separated n values"),
-    "weights": _Option(_list_of(_number(float)), "1,1", "comma-separated weights"),
+    "weights": _Option(_list_of(_number(float)), None,
+                       "comma-separated weights (default: 1 for each state)"),
     "t_max": _Option(_number(float), None, "end time (default: period of the slowest state)"),
     "t_samples": _Option(_number(int), "16", "number of time slices"),
     "r_max": _Option(_number(float), "3.0", "grid extent in units of r_o"),
@@ -240,6 +241,9 @@ def cmd_superpose(opts: dict) -> tuple[dict, list, list]:
 
     from . import nodes
 
+    weights = opts["weights"] or [1.0] * len(opts["states"])
+    if len(weights) != len(opts["states"]):
+        raise ValueError(f"{len(weights)} weights given for {len(opts['states'])} states")
     waves = [_build_wave(opts, n=n) for n in opts["states"]]
     t_max = opts["t_max"]
     if t_max is None:
@@ -248,7 +252,7 @@ def cmd_superpose(opts: dict) -> tuple[dict, list, list]:
     # nodes are tracked on the common radial domain of all states, avoiding
     # every state's excluded neighborhoods
     track_grid = nodes.common_tracking_grid(waves, samples=opts["samples"])
-    tracked = nodes.track_superposition_nodes(waves, opts["weights"], times, track_grid)
+    tracked = nodes.track_superposition_nodes(waves, weights, times, track_grid)
     payload = {
         "atom_z": opts["z"],
         "common_r_max": track_grid.r_max,
@@ -258,7 +262,7 @@ def cmd_superpose(opts: dict) -> tuple[dict, list, list]:
         ],
         "states": opts["states"],
         "tracks": [[{"r": r, "t": t} for t, r in tr] for tr in tracked.tracks],
-        "weights": opts["weights"],
+        "weights": weights,
     }
     rows = [[i, sl.t, r] for i, sl in enumerate(tracked.slices) for r in sl.radii]
     return payload, ["slice", "t", "radius_bohr"], rows

@@ -11,6 +11,8 @@ remainder with Gauss-Legendre panels, and add the subtracted parts back in
 closed form: the antiderivative -c2/(r'-z) + c1*ln|r'-z| taken straight
 through the pole is the finite-part prescription.  Next to z the remainder
 is a power series built from the product form of u_+, so no digits cancel.
+A table built with the panels holds, per panel, all of the finite part outside
+a radius's own partial panel, so a radius sums only that and adds one entry.
 
 At an interior zero (an ordinary point of the ODE) c1 = 0, and u_- passes
 smoothly through -1/u_+'(z).  In its window the finite part is T - c2/(r - z),
@@ -230,29 +232,23 @@ class WronskianEvaluator:
         g[near] = polyval(self._offset(x[near], pn), self._rem[:, pn], tensor=False)
         return g
 
-    def _singular_between(self, a, b) -> np.ndarray:
-        """Closed-form integral of the subtracted parts over [a, b], elementwise, each
-        clipped to its window: a pole whose window lies outside [a, b] adds exactly 0,
-        where a global antiderivative difference would drown small panel sums in rounding."""
-        a, b = (np.clip(np.asarray(x)[..., None], self._z - self._w, self._z + self._w)
-                for x in (a, b))
-        p = np.arange(len(self._z))
-        sa, sb = self._offset(a, p), self._offset(b, p)  # 0 only at a pole, never asked for
-        part = -self._c2 / sb + self._c1 * np.log(np.abs(sb)) - (
-            -self._c2 / sa + self._c1 * np.log(np.abs(sa)))
-        return part.sum(axis=-1)
-
     # -- panel quadrature ----------------------------------------------------
 
     def _build_panels(self) -> None:
-        """Gauss-Legendre panels from 0 to r_t and their cumulative integrals.
+        """Gauss-Legendre panels from 0 to r_t and the finite part outside each one.
 
         Each zero breaks the axis at itself and _NEAR and 1 window half-width to
         either side; long stretches are subdivided so each panel stays accurate.
         Per panel, _pole is the nearest zero and _kind is 2 where its remainder
-        series serves, 1 in the rest of its window, 0 outside.  _cum[i] is
-        int_0^breaks[i], and _cum_back[i] = int_breaks[i]^r_t keeps the right
-        side free of a forward difference's cancellation.
+        series serves, 1 in the rest of its window, 0 outside.  _fp[i] is all of
+        the finite part of u_-/u_+ but the partial panel of a radius in panel i,
+        with F(s) = -c2/s + c1*ln|s| the subtracted parts' antiderivative: left of
+        r_o, the panels from 0 and F(z+w) - F(z-w) of each window ending at or
+        before the panel; right of r_o, the panels down to r_t (summed that way,
+        free of a forward difference's cancellation) and the tail from r_t.  No
+        window lies wholly right of such a panel, as every zero is <= r_o.  On a
+        window panel it also holds F at the window's far edge: -F(z-w) left of
+        r_o, +F(r_o+w) right of it.
         """
         pts = {0.0, self._r_t}
         for z, w in zip(self._z.tolist(), self._w.tolist()):
@@ -276,8 +272,15 @@ class WronskianEvaluator:
         x, w = self._gauss
         g = self._regularized_integrand(mid[:, None] + half[:, None] * x, np.arange(len(mid)))
         panels = half * np.vecdot(g, w)
-        self._cum = np.concatenate([[0.0], np.cumsum(panels)])
-        self._cum_back = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]])
+        ends, p = self._z + self._w, np.arange(len(self._z))
+        f_lo, f_hi = (-self._c2 / s + self._c1 * np.log(np.abs(s))
+                      for s in (self._offset(self._z - self._w, p), self._offset(ends, p)))
+        done = np.searchsorted(ends, br[:-1], side="right")
+        fwd = np.cumsum(np.r_[0.0, panels[:-1]]) + np.cumsum(np.r_[0.0, f_hi - f_lo])[done]
+        back = np.r_[np.cumsum(panels[:0:-1])[::-1], 0.0] + self._tail_rt
+        left = mid < self.r_o
+        own = np.where(left, -f_lo[self._pole], f_hi[self._pole])
+        self._fp = np.where(left, fwd, back) + np.where(self._kind > 0, own, 0.0)
 
     def _panels(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Panel of each radius in (0, r_t); is it in a zero's window?"""
@@ -288,9 +291,10 @@ class WronskianEvaluator:
         """u_- and, if slope, u_-' at a block of admissible radii below r_t.
 
         u_- = u_+*I, I the finite part from 0 left of r_o and to infinity right
-        of it, and u_-' = u_+'*I +/- 1/u_+.  In the window of a zero z, with s =
-        r - z and sign +1 left of r_o, -1 right of it, I = T + sign*(-c2/s +
-        c1*ln|s|): there u_- = u_+*T + sign*(c1*u_+*ln|s| - c2*q) with q = u_+/s,
+        of it, and u_-' = u_+'*I +/- 1/u_+.  I is the rest of r's panel plus _fp
+        of the panel, one lookup.  In the window of a zero z, with s = r - z and
+        sign +1 left of r_o, -1 right of it, that sum is T and I = T + sign*(-c2/s
+        + c1*ln|s|): there u_- = u_+*T + sign*(c1*u_+*ln|s| - c2*q) with q = u_+/s,
         and u_-' = u_+'*T + sign*(u_+*T~ + c1*(u_+'*ln|s| + q) - c2*q'), T~ the
         regularized integrand.  Only at r_o is c1 != 0.
         """
@@ -300,22 +304,16 @@ class WronskianEvaluator:
         p = self._pole[i]
         inner = r < self.r_o
         side = np.where(inner, 1.0, -1.0)
-        # in a window the subtracted parts are summed from its edge b on the far
-        # side of r, and the zero's own part from b to r is split off
-        b = np.where(zone, self._z[p] - side * self._w[p], r)
         # the rest of r's panel toward 0 left of r_o, toward r_t right of it:
         # one row per radius of a single Gauss-Legendre evaluation
         lo = np.where(inner, self._breaks[i], r)
         hi = np.where(inner, r, self._breaks[i + 1])
         (x, w), mid, half = self._gauss, 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)
         part = half * np.vecdot(self._regularized_integrand(mid + half[:, None] * x, i), w)
-        integral = part + self._singular_between(
-            np.where(inner, 0.0, b), np.where(inner, b, self._r_t))
-        integral += np.where(inner, self._cum[i], self._cum_back[i + 1] + self._tail_rt)
+        integral = part + self._fp[i]
         um = up * integral
         pz, rz, sz, upz = p[zone], r[zone], side[zone], up[zone]
-        c1, c2, se = self._c1[pz], self._c2[pz], self._offset(b[zone], pz)
-        t = integral[zone] + sz * (c2 / se - c1 * np.log(np.abs(se)))
+        c1, c2, t = self._c1[pz], self._c2[pz], integral[zone]
         # q = u_+/(r - z) = e*P/(s - s_j), e = -exp(k_o*r), s = r_o - r: the product
         # without z's factor (s itself at r_o), and q' = e*(k_o*P - dP/ds) with it
         pq, dpq = product_form(self.r_o - rz, self.sol, skip=len(self.sol.roots) - 1 - pz)

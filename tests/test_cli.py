@@ -332,6 +332,20 @@ def test_all_zero_weights_exit_2(capsys):
     assert "all zero" in captured.err
 
 
+def test_default_weights_are_one_per_state(capsys):
+    code, out = run_cli(capsys, "superpose", "--states", "2,5,9", "--t-samples", "2")
+    assert code == 0
+    assert json.loads(out)["weights"] == [1.0, 1.0, 1.0]
+
+
+def test_weights_not_one_per_state_exit_2(capsys):
+    code = main(["superpose", "--states", "2,5,9", "--weights", "1,1", "--t-samples", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "2 weights given for 3 states" in captured.err
+
+
 def test_repeated_state_exit_2(capsys):
     code = main(["superpose", "--states", "1,1", "--weights", "1,-1", "--t-samples", "2"])
     captured = capsys.readouterr()

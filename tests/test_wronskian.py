@@ -212,8 +212,22 @@ def _laguerre_u_minus(ev, r):
     return math.exp(-ev.k_o * r) * p[0] / (2.0 * ev.k_o) * float(np.dot(w, p[1:] ** -2.0))
 
 
-def _u_minus_one_radius(ev, r):
-    """Reference: the kernel's arithmetic for one radius, with Gauss sums of its own."""
+def _panel_sums(ev):
+    """int_0^breaks[i] and int_breaks[i]^r_t of the regularized integrand, from the
+    full panels summed once with a Gauss rule of this module's own."""
+    x, w = np.polynomial.legendre.leggauss(ev.quad_order)
+    mid, half = 0.5 * (ev._breaks[1:] + ev._breaks[:-1]), 0.5 * np.diff(ev._breaks)
+    g = ev._regularized_integrand(mid[:, None] + half[:, None] * x, np.arange(len(mid)))
+    # reduced as the build reduces them: left of r_o the running sum nearly
+    # cancels against the windows' closed forms (by up to 30 times at n = 38),
+    # so another summation order alone would move u_- by 1e-15 of max
+    panels = half * np.vecdot(g, w)
+    return np.r_[0.0, np.cumsum(panels)], np.r_[np.cumsum(panels[::-1])[::-1], 0.0]
+
+
+def _u_minus_one_radius(ev, r, sums):
+    """Reference: the kernel's arithmetic for one radius, with Gauss sums of its own;
+    sums is _panel_sums(ev)."""
     if r >= ev._r_t:
         return _laguerre_u_minus(ev, r)
     i = int(np.searchsorted(ev._breaks, r, side="right")) - 1
@@ -224,7 +238,7 @@ def _u_minus_one_radius(ev, r):
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     g = ev._regularized_integrand((mid + half * x)[None], np.array([i]))[0]
     part = half * float(np.dot(w, g))
-    forward, backward = ev._cum[i] + part, part + ev._cum_back[i + 1]
+    forward, backward = sums[0][i] + part, part + sums[1][i + 1]
 
     def singular(lo_end, hi_end):
         total = 0.0
@@ -260,7 +274,7 @@ def _u_minus_one_radius(ev, r):
     return up * t + sign * (up * log + c2 * math.exp(ev.k_o * r) * pq)
 
 
-@pytest.mark.parametrize("z,n", [(1, 1), (1, 2), (1, 3), (2, 5)])
+@pytest.mark.parametrize("z,n", [(1, 1), (1, 2), (1, 3), (2, 5), (1, 20), (3, 38), (92, 50)])
 def test_batched_kernel_matches_per_radius_reference(z, n):
     sol = build_series(AtomSpec(z, n))
     ev = WronskianEvaluator(sol)
@@ -273,7 +287,8 @@ def test_batched_kernel_matches_per_radius_reference(z, n):
         # a hair to either side of r_o
         sol.state.r_o * (1.0 + np.array([-1e-12, 1e-12])),
     ])
-    ref = np.array([_u_minus_one_radius(ev, float(r)) for r in rs])
+    sums = _panel_sums(ev)
+    ref = np.array([_u_minus_one_radius(ev, float(r), sums) for r in rs])
     got = ev.u_minus_many(rs)[0]
     # the panels serve below r_t only
     near, zone = rs < ev._r_t, np.zeros(len(rs), dtype=bool)
