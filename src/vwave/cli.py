@@ -279,12 +279,7 @@ def cmd_verify(opts: dict) -> int:
 def cmd_figures(opts: dict) -> int:
     opts["out_dir"].mkdir(parents=True, exist_ok=True)
     for n in (1, 2, 3):
-        wave = _build_wave(opts, n=n)
-        scale = float(abs(wave.r_vals).max())
-        rows = [
-            [float(r / wave.state.r_o), float(rv / scale)]
-            for r, rv in zip(wave.grid.samples, wave.r_vals)
-        ]
+        rows = [[row[1], row[4]] for row in _wave_rows(_build_wave(opts, n=n), True)]
         text = render_csv(["r_over_ro", "R_normalized"], rows)
         (opts["out_dir"] / f"figure_n{n}.csv").write_bytes(text.encode("utf-8"))
     return 0

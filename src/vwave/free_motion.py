@@ -27,14 +27,21 @@ class FreeParams:
 
 
 def free_params(v: float, m: float = 1.0) -> FreeParams:
-    """Build the parameter set for velocity v and mass m (atomic units, h = 2*pi)."""
+    """Build the parameter set for velocity v and mass m (atomic units, h = 2*pi);
+    ValueError where E, omega or lambda is not a finite, nonzero float."""
     if v == 0.0:
         raise ValueError("zero velocity: wavelength is undefined")
     if m <= 0.0:
         raise ValueError("mass must be positive")
-    energy = 0.5 * m * v**2
-    omega = m * v**2
-    wavelength = 2.0 * math.pi / (m * abs(v))
+    try:
+        energy = 0.5 * m * v**2
+        omega = m * v**2
+        wavelength = 2.0 * math.pi / (m * abs(v))
+    except (OverflowError, ZeroDivisionError):  # v**2 past the largest float, or m*|v| = 0
+        energy = omega = wavelength = math.nan
+    if not all(0.0 < abs(x) < math.inf for x in (energy, omega, wavelength)):
+        raise ValueError(f"v={v!r} and m={m!r} are out of float64 range:"
+                         " E, omega or lambda is not finite and nonzero")
     return FreeParams(
         v=v,
         m=m,

@@ -46,10 +46,11 @@ def build_series(atom: AtomSpec) -> SeriesSolution:
     coeffs = [1.0]
     for m in range(1, atom.n):
         coeffs.append(recurrence_step(m, coeffs[-1], state.k_o, state.beta1))
-    # a state whose a_n underflows is refused before its Jacobi matrix is formed
-    if coeffs[-1] == 0.0:
-        raise ValueError(f"state (Z={atom.z}, n={atom.n}) is out of float64 range: "
-                         "the series coefficient a_n = (-2*k_o)^(n-1)/n! underflows")
+        # the step ratio is finite, so a_n is 0 once any a_m is: a state whose
+        # a_n underflows is refused there, before the rest of the recurrence
+        if coeffs[-1] == 0.0:
+            raise ValueError(f"state (Z={atom.z}, n={atom.n}) is out of float64 range: "
+                             "the series coefficient a_n = (-2*k_o)^(n-1)/n! underflows")
     # Jacobi matrix of L^{(1)}_{n-1}: diagonal 2i + 2, off-diagonal sqrt(i*(i+1))
     i = np.arange(atom.n - 1)
     jacobi = np.diag(2.0 * i + 2.0) + np.diag(np.sqrt(i[1:] * (i[1:] + 1.0)), 1)

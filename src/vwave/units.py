@@ -7,6 +7,7 @@ lengths in bohr.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -42,8 +43,12 @@ class StateParams:
 
 
 def derive_state(atom: AtomSpec) -> StateParams:
-    """Derive the full parameter set of state (Z, n)."""
+    """Derive the full parameter set of state (Z, n); ValueError where Z^2 or 2*n^2,
+    formed as floats below, is past the largest float."""
     z, n = atom.z, atom.n
+    if max(z**2, 2 * n**2) > sys.float_info.max:
+        raise ValueError(f"state (Z={z}, n={n}) is out of float64 range:"
+                         " Z^2 or 2*n^2 overflows")
     energy = -(z**2) / (2.0 * n**2)
     r_o = 2.0 * n**2 / z
     omega = 2.0 * abs(energy)

@@ -112,7 +112,7 @@ class SpaceTimeGrid:
     dt: float
 
 
-def pde_residual_free(v: float, grid: SpaceTimeGrid, amplitude: float | None = None,
+def pde_residual_free(v: float, grid: SpaceTimeGrid,
                       operator_speed: float | None = None) -> ResidualReport:
     """FD residual of d2V/dt2 - v^2 d2V/dx2 on the analytic travelling wave.
 
@@ -122,8 +122,7 @@ def pde_residual_free(v: float, grid: SpaceTimeGrid, amplitude: float | None = N
     second differences toward their rounding floor.
     """
     p = free_params(v)
-    a = p.amplitude if amplitude is None else amplitude
-    w = p.omega
+    a, w = p.amplitude, p.omega
     v_op = v if operator_speed is None else operator_speed
 
     def residual(dx: float, dt: float) -> float:
@@ -134,7 +133,7 @@ def pde_residual_free(v: float, grid: SpaceTimeGrid, amplitude: float | None = N
         vtt = (vals[:, :-2] - 2 * vals[:, 1:-1] + vals[:, 2:]) / dt**2
         vxx = (vals[:-2, 1:-1] - 2 * vals[1:-1, 1:-1] + vals[2:, 1:-1]) / dx**2
         res = np.abs(vtt[1:-1, :] - v_op**2 * vxx)
-        scale = np.abs(vtt[1:-1, :]) + v_op**2 * np.abs(vxx) + w**2 * max(abs(a), 1e-300)
+        scale = np.abs(vtt[1:-1, :]) + v_op**2 * np.abs(vxx) + w**2 * a
         return float(np.max(res / scale))
 
     base = residual(grid.dx, grid.dt)

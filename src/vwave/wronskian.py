@@ -37,8 +37,8 @@ u_- = exp(-k_o*r)*P(r)/(2*k_o) * sum_j w_j/P(r + t_j/(2*k_o))^2.  No cutoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -106,7 +106,9 @@ def make_radial_grid(
     return RadialGrid(samples=r, exclusion_zones=((lo, hi),), r_max=r_max)
 
 
-# radii per u_- quadrature block: bounds the (block, quad_order) integrand arrays
+# Gauss-Legendre points per panel
+_QUAD_ORDER = 32
+# radii per u_- quadrature block: bounds the (block, _QUAD_ORDER) integrand arrays
 _BLOCK = 1024
 # Within _NEAR of a window's half-width a zero's remainder series serves: each
 # |x_k| is at most 0.45*_NEAR there, and _TERMS terms reach rounding.
@@ -152,9 +154,8 @@ def _out_of_range(sol: SeriesSolution, name: str, v: float, r: float, at: str = 
 class WronskianEvaluator:
     """Evaluates u_- for one series solution, with cached panel integrals."""
 
-    def __init__(self, sol: SeriesSolution, quad_order: int = 32):
+    def __init__(self, sol: SeriesSolution):
         self.sol = sol
-        self.quad_order = quad_order
         self.k_o, self.r_o = sol.state.k_o, sol.state.r_o
         n = sol.atom.n
         self._r_t = self.r_o + (_TAIL_START if n < _TAIL_LATE else n / 7.0) / self.k_o
@@ -164,7 +165,7 @@ class WronskianEvaluator:
         if not (math.isfinite(up_rt) and up_rt != 0.0):
             raise _out_of_range(sol, "u_+", up_rt, self._r_t, "r_t")
         self._tail_rt = self._evaluate_tail(np.array([self._r_t]), False)[0][0] / up_rt
-        self._gauss = np.polynomial.legendre.leggauss(quad_order)
+        self._gauss = np.polynomial.legendre.leggauss(_QUAD_ORDER)
         self._pole_data()
         self._build_panels()
 
@@ -408,9 +409,10 @@ def u_minus_and_slope(r, sol: SeriesSolution) -> tuple[np.ndarray, np.ndarray]:
     return _evaluator(sol).u_minus_many(r, slope=True)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundWave:
-    """Sampled bound wave of one stationary state."""
+    """Sampled bound wave of one stationary state: a frozen value, so a copy made by
+    dataclasses.replace derives its own interpolants from its own samples."""
 
     atom: AtomSpec
     state: StateParams
@@ -421,20 +423,18 @@ class BoundWave:
     r_slopes: np.ndarray  # dR/dr
     left_limit_at_ro: float
     right_limit_at_ro: float
-    _interp: list = field(default_factory=list, repr=False)
 
-    def segment_interpolators(self):
+    @cached_property
+    def _pieces(self) -> list:
         """Cubic Hermite interpolants of R on its exact slopes, one per smooth segment."""
-        if not self._interp:
-            segs = self.grid.segments()
-            cuts = np.cumsum([len(seg) for seg in segs])[:-1]
-            for seg, v, d in zip(segs, np.split(self.r_vals, cuts), np.split(self.r_slopes, cuts)):
-                self._interp.append(hermite(seg, v, d))
-        return self._interp
+        segs = self.grid.segments()
+        cuts = np.cumsum([len(seg) for seg in segs])[:-1]
+        return [hermite(seg, v, d) for seg, v, d
+                in zip(segs, np.split(self.r_vals, cuts), np.split(self.r_slopes, cuts))]
 
     def r_of(self, r: float) -> float:
         """Interpolated R at radius r; rejects radii outside the sampled domain."""
-        for seg, itp in zip(self.grid.segments(), self.segment_interpolators()):
+        for seg, itp in zip(self.grid.segments(), self._pieces):
             if seg[0] <= r <= seg[-1]:
                 return float(itp(r))
         raise ValueError(f"r={r} outside the sampled domain or inside an exclusion zone")

@@ -354,6 +354,23 @@ def test_repeated_state_exit_2(capsys):
     assert "n=1 is repeated" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["state", "--n", str(10**200)],
+        ["state", "--z", str(10**200)],
+        ["free", "--v", "1e160"],
+        ["free", "--v", "1e-200"],
+    ],
+)
+def test_numbers_float64_cannot_hold_exit_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "out of float64 range" in captured.err
+
+
 def test_out_file(tmp_path, capsys):
     out = tmp_path / "state.json"
     code, printed = run_cli(capsys, "state", "--z", "2", "--n", "1", "--out", str(out))

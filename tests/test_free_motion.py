@@ -1,6 +1,7 @@
 """Free uniform motion: travelling wave, moving nodes, de Broglie relation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,23 @@ def test_zero_velocity_rejected():
 def test_nonpositive_mass_rejected():
     with pytest.raises(ValueError):
         free_params(1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "v,m",
+    [
+        (1e160, 1.0),  # v**2 overflows
+        (-1e160, 1.0),
+        (1e-200, 1.0),  # omega = m*v**2 underflows to 0
+        (1e-200, 1e-200),  # m*|v| underflows to 0, which lambda divides by
+        (1e-10, 1e-300),  # lambda overflows
+        (2.0, 1e308),  # omega overflows
+    ],
+)
+def test_parameters_past_float64_rejected(v, m):
+    refusal = re.escape(f"v={v!r} and m={m!r} are out of float64 range")
+    with pytest.raises(ValueError, match=refusal):
+        free_params(v, m)
 
 
 @given(

@@ -102,7 +102,7 @@ def test_zero_on_a_sample_is_reported_there(waves):
     i = int(np.argmin(np.abs(r - 12.064)))  # nearest the first plain zero
     vals = wave.r_vals.copy()
     vals[i] = 0.0
-    report = find_nodes(dataclasses.replace(wave, r_vals=vals, _interp=[]))
+    report = find_nodes(dataclasses.replace(wave, r_vals=vals))
     assert len(report.nodes) == 3
     node = next(nd for nd in report.nodes if nd.radius == r[i])
     assert node.kind is NodeKind.PLAIN_ZERO
@@ -114,7 +114,7 @@ def test_sides_that_do_not_alternate_are_refused(waves):
 
     # with L_- of the wrong sign the bracket next to r_o holds no zero
     wave = waves[3]
-    flipped = dataclasses.replace(wave, left_limit_at_ro=-wave.left_limit_at_ro, _interp=[])
+    flipped = dataclasses.replace(wave, left_limit_at_ro=-wave.left_limit_at_ro)
     with pytest.raises(ValueError, match=r"\(Z=1, n=3\)"):
         find_nodes(flipped)
 
@@ -153,7 +153,6 @@ def test_detection_invariant_under_rescaling(waves):
         r_slopes=wave.r_slopes * 37.5,
         left_limit_at_ro=wave.left_limit_at_ro * 37.5,
         right_limit_at_ro=wave.right_limit_at_ro * 37.5,
-        _interp=[],
     )
     a = find_nodes(wave)
     b = find_nodes(scaled)
@@ -236,7 +235,7 @@ def test_tracking_sample_where_the_wave_is_zero_is_reported_there(waves):
     i = int(np.argmin(np.abs(r - 0.5 * wave.state.r_o)))
     vals = wave.r_vals.copy()
     vals[i] = 0.0
-    zeroed = dataclasses.replace(wave, r_vals=vals, _interp=[])
+    zeroed = dataclasses.replace(wave, r_vals=vals)
     tracked = track_superposition_nodes([zeroed], [1.0], [0.0, 1.0], wave.grid)
     (lo, hi), = wave.grid.exclusion_zones
     for sl in tracked.slices:

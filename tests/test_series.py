@@ -173,3 +173,20 @@ def test_recurrence_step_terminates_at_n():
     st_ = derive_state(AtomSpec(1, 4))
     # the factor (2*k_o*m - beta1) vanishes exactly at m = n
     assert recurrence_step(4, 1.0, st_.k_o, st_.beta1) == 0.0
+
+
+def test_underflowing_series_is_refused_at_its_first_zero(monkeypatch):
+    # at (Z, n) = (1, 10**6) a_111 underflows to 0, and so then does a_n: the
+    # recurrence stops there rather than running on to m = n - 1
+    from vwave import series
+
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return recurrence_step(*args)
+
+    monkeypatch.setattr(series, "recurrence_step", counted)
+    with pytest.raises(ValueError, match=r"\(Z=1, n=1000000\) is out of float64 range"):
+        build_series(AtomSpec(1, 10**6))
+    assert len(calls) < 1000

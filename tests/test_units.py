@@ -60,3 +60,12 @@ def test_atom_spec_validation():
         AtomSpec(1, 0)
     with pytest.raises(ValueError):
         AtomSpec(1, -3)
+
+
+@pytest.mark.parametrize("z,n", [(1, 10**200), (10**200, 1), (1, 10**154)],
+                         ids=["n=10**200", "Z=10**200", "n=10**154"])
+def test_state_past_the_largest_float_is_refused(z, n):
+    # Z^2 or 2*n^2 is past the largest float: 1e400 at 10**200, and 2e308 at
+    # n = 10**154, where E would be -0.0 and k_o = 0
+    with pytest.raises(ValueError, match=rf"\(Z={z}, n={n}\) is out of float64 range"):
+        derive_state(AtomSpec(z, n))

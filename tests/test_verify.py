@@ -88,12 +88,6 @@ def test_pde_residual_detects_wrong_speed():
     assert rep.max_rel_residual > 1e-3
 
 
-def test_pde_residual_zero_amplitude():
-    grid = SpaceTimeGrid(x_lo=0.0, x_hi=1.0, t_lo=0.0, t_hi=1.0, dx=1e-2, dt=7e-3)
-    rep = pde_residual_free(1.0, grid, amplitude=0.0)
-    assert rep.max_rel_residual == 0.0
-
-
 def test_shoot_inward_validation():
     e1 = energy_closed_form(AtomSpec(1, 1))
     with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 """Wronskian-constructed decaying branch and sampled bound waves."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from vwave import wronskian
 from vwave.series import build_series, interior_zeros, product_form, u_plus, u_plus_prime
 from vwave.units import AtomSpec
 from vwave.wronskian import (
@@ -108,12 +110,13 @@ def test_smooth_through_interior_zeros(solutions, n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_quadrature_convergence(solutions, n):
+def test_quadrature_convergence(solutions, n, monkeypatch):
     sol = solutions[n]
     r_o = sol.state.r_o
     rs = np.array([0.4, 0.9, 1.3, 2.0, 2.9]) * r_o
     coarse = u_minus(rs, sol)
-    fine = WronskianEvaluator(sol, quad_order=64).u_minus_many(rs)[0]
+    monkeypatch.setattr(wronskian, "_QUAD_ORDER", 64)
+    fine = WronskianEvaluator(sol).u_minus_many(rs)[0]
     assert np.max(np.abs(fine / coarse - 1.0)) < 1e-6
 
 
@@ -215,7 +218,7 @@ def _laguerre_u_minus(ev, r):
 def _panel_sums(ev):
     """int_0^breaks[i] and int_breaks[i]^r_t of the regularized integrand, from the
     full panels summed once with a Gauss rule of this module's own."""
-    x, w = np.polynomial.legendre.leggauss(ev.quad_order)
+    x, w = np.polynomial.legendre.leggauss(wronskian._QUAD_ORDER)
     mid, half = 0.5 * (ev._breaks[1:] + ev._breaks[:-1]), 0.5 * np.diff(ev._breaks)
     g = ev._regularized_integrand(mid[:, None] + half[:, None] * x, np.arange(len(mid)))
     # reduced as the build reduces them: left of r_o the running sum nearly
@@ -234,7 +237,7 @@ def _u_minus_one_radius(ev, r, sums):
     a, b = float(ev._breaks[i]), float(ev._breaks[i + 1])
     # the part of the panel toward 0 left of r_o, toward r_t right of it
     lo, hi = (a, r) if r < ev.r_o else (r, b)
-    x, w = np.polynomial.legendre.leggauss(ev.quad_order)
+    x, w = np.polynomial.legendre.leggauss(wronskian._QUAD_ORDER)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     g = ev._regularized_integrand((mid + half * x)[None], np.array([i]))[0]
     part = half * float(np.dot(w, g))
@@ -555,6 +558,19 @@ def test_r_of_rejects_out_of_domain(waves):
         wave.r_of(100.0)
     with pytest.raises(ValueError):
         wave.r_of(wave.state.r_o)  # inside the exclusion zone
+
+
+def test_a_replaced_wave_interpolates_its_own_samples(waves):
+    # a sampled wave is a frozen value: a copy made by dataclasses.replace
+    # builds its interpolants from its own samples, even after the original
+    # has built its own
+    wave = waves[2]
+    r = float(wave.grid.samples[100]) + 1e-3
+    value = wave.r_of(r)
+    flipped = dataclasses.replace(wave, r_vals=-wave.r_vals, r_slopes=-wave.r_slopes)
+    assert flipped.r_of(r) == -value
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        wave.r_vals = flipped.r_vals
 
 
 def test_superpose_validates_inputs(waves):
