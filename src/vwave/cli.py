@@ -7,10 +7,11 @@ flags override values from an optional key=value config file.
 Thread policy: `main` sets OPENBLAS_NUM_THREADS=1 before a subcommand loads
 numpy, unless the variable is already set or numpy is already loaded, so a
 `vwave` process runs OpenBLAS with no worker thread.  vwave's linear algebra
-is tiny (an (n-1)x(n-1) eigvalsh, matrix-vector products of at most 1024 x 40),
-and a worker only costs: it spins after start-up and after each threaded call,
-taking CPU time from the main thread.  `OPENBLAS_NUM_THREADS=N vwave ...`
-overrides it.  Importing `vwave` or `vwave.cli` changes nothing.
+is tiny (tridiagonal eigh of order n - 1, 32 and 40, and matrix-vector products
+of at most 1024 x 40), and a worker only costs: it spins after start-up and
+after each threaded call, taking CPU time from the main thread.
+`OPENBLAS_NUM_THREADS=N vwave ...` overrides it.  Importing `vwave` or
+`vwave.cli` changes nothing.
 """
 
 from __future__ import annotations

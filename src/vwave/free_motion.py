@@ -9,6 +9,7 @@ lambda = h / (m v)).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -28,7 +29,8 @@ class FreeParams:
 
 def free_params(v: float, m: float = 1.0) -> FreeParams:
     """Build the parameter set for velocity v and mass m (atomic units, h = 2*pi);
-    ValueError where E, omega or lambda is not a finite, nonzero float."""
+    ValueError where E, omega or lambda is not a finite, normal float (not 0, not
+    subnormal, whose lost digits pi/omega would carry into every node position)."""
     if v == 0.0:
         raise ValueError("zero velocity: wavelength is undefined")
     if m <= 0.0:
@@ -39,9 +41,10 @@ def free_params(v: float, m: float = 1.0) -> FreeParams:
         wavelength = 2.0 * math.pi / (m * abs(v))
     except (OverflowError, ZeroDivisionError):  # v**2 past the largest float, or m*|v| = 0
         energy = omega = wavelength = math.nan
-    if not all(0.0 < abs(x) < math.inf for x in (energy, omega, wavelength)):
-        raise ValueError(f"v={v!r} and m={m!r} are out of float64 range:"
-                         " E, omega or lambda is not finite and nonzero")
+    for name, x in (("E", energy), ("omega", omega), ("lambda", wavelength)):
+        if not sys.float_info.min <= abs(x) < math.inf:
+            raise ValueError(f"v={v!r} and m={m!r} are out of float64 range:"
+                             f" {name} is not a finite, normal float")
     return FreeParams(
         v=v,
         m=m,
@@ -65,8 +68,13 @@ def wave_value(x, t, p: FreeParams, phase: float = 0.0):
 
 
 def node_trajectory(p: FreeParams, branch: int, t: float) -> float:
-    """Position of moving node ``branch`` at time t: x = v*(t + (pi/omega)*(branch + 1/2))."""
-    return p.v * (t + (math.pi / p.omega) * (branch + 0.5))
+    """Position of moving node ``branch`` at time t: x = v*(t + (pi/omega)*(branch + 1/2));
+    ValueError where that is not finite."""
+    x = p.v * (t + (math.pi / p.omega) * (branch + 0.5))
+    if not math.isfinite(x):
+        raise ValueError(f"v={p.v!r} and m={p.m!r} are out of float64 range:"
+                         f" the position of branch {branch} at t={t!r} overflows")
+    return x
 
 
 def quantized_frequencies(time_offset: float, n_max: int) -> list[float]:

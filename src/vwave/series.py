@@ -8,11 +8,15 @@ P(s) = sum_{m=1..n} a_m*s^m has coefficients from the two-term recurrence
 Because beta1 = 2*k_o*n for a bound state, a_{n+1} vanishes and the series
 terminates after n terms.  Then P(s) = s*L^{(1)}_{n-1}(2*k_o*s)/n (DLMF 18.5),
 so P is evaluated in product form, a_n*s*prod_j (s - s_j), over the zeros s_j
-of that Laguerre polynomial: the eigenvalues of its Jacobi matrix (Golub and
-Welsch, Math. Comp. 23, 1969) divided by 2*k_o.  The alternating monomial sum
-loses digits as n grows; the product keeps them, and vanishes exactly at the
-zeros it is built from.  Eigenvalues can also be found independently of the
-closed form by scanning the termination condition beta1/(2*k_o) = n over E.
+of L^{(1)}_{n-1}(2*k_o*s): the nodes of its Gauss rule, divided by 2*k_o.
+The alternating monomial sum loses digits as n grows; the product keeps them,
+and vanishes exactly at the zeros it is built from.  Eigenvalues can also be
+found independently of the closed form by scanning the termination condition
+beta1/(2*k_o) = n over E.
+
+One helper, gauss, builds every Gauss rule vwave uses from its Jacobi matrix
+(Golub and Welsch, Math. Comp. 23, 1969): these zeros, and the Gauss-Legendre
+panels and Gauss-Laguerre tail of the Wronskian integral.
 """
 
 from __future__ import annotations
@@ -35,6 +39,17 @@ class SeriesSolution:
     roots: tuple[float, ...]
 
 
+def gauss(diag, off, mu0: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss rule of the symmetric tridiagonal Jacobi matrix
+    with diagonal diag and off-diagonal off: its eigenvalues, ascending, and mu0 (the
+    weight function's integral) times the squared first component of each eigenvector."""
+    m = len(diag)
+    jacobi = np.diag(np.asarray(diag, dtype=float))
+    jacobi[range(m - 1), range(1, m)] = off
+    nodes, vecs = np.linalg.eigh(jacobi, UPLO="U")
+    return nodes, mu0 * vecs[:1].ravel() ** 2  # [:1]: an empty matrix has no first row
+
+
 def recurrence_step(m: int, a_m: float, k_o: float, beta1: float) -> float:
     """One application of the coefficient recurrence: a_{m+1} from a_m."""
     return (2.0 * k_o * m - beta1) / ((m + 1) * m) * a_m
@@ -53,8 +68,7 @@ def build_series(atom: AtomSpec) -> SeriesSolution:
                              "the series coefficient a_n = (-2*k_o)^(n-1)/n! underflows")
     # Jacobi matrix of L^{(1)}_{n-1}: diagonal 2i + 2, off-diagonal sqrt(i*(i+1))
     i = np.arange(atom.n - 1)
-    jacobi = np.diag(2.0 * i + 2.0) + np.diag(np.sqrt(i[1:] * (i[1:] + 1.0)), 1)
-    roots = (np.linalg.eigvalsh(jacobi, UPLO="U") / (2.0 * state.k_o)).tolist()
+    roots = (gauss(2.0 * i + 2.0, np.sqrt(i[1:] * (i[1:] + 1.0)))[0] / (2.0 * state.k_o)).tolist()
     return SeriesSolution(atom=atom, state=state, coeffs=tuple(coeffs), roots=tuple(roots))
 
 

@@ -56,6 +56,8 @@ def derive_state(atom: AtomSpec) -> StateParams:
     alpha = 2.0 * z
     k_o = math.sqrt(-2.0 * energy)
     beta1 = k_o**2 * alpha / beta0_sq
+    if beta1 == math.inf:  # k_o**2*alpha overflowed: divide first where it must
+        beta1 = alpha * (k_o / beta0_sq * k_o)
     return StateParams(
         energy=energy,
         r_o=r_o,

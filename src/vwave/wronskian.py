@@ -41,10 +41,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .hermite import hermite
-from .series import SeriesSolution, interior_zeros, product_form, u_plus, u_plus_prime
+from .series import SeriesSolution, gauss, interior_zeros, product_form, u_plus, u_plus_prime
 from .units import AtomSpec, StateParams
 
 
@@ -126,9 +125,19 @@ _LAGUERRE = 40
 
 
 @lru_cache(maxsize=None)
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per process and order."""
+    k = np.arange(1.0, order)
+    return gauss(np.zeros(order), k / np.sqrt(4.0 * k**2 - 1.0), 2.0)
+
+
+@lru_cache(maxsize=None)
 def _laguerre() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Laguerre nodes and weights, built once per process on first use."""
-    return np.polynomial.laguerre.laggauss(_LAGUERRE)
+    """Gauss-Laguerre nodes and weights for exp(-t) on [0, inf), built once per process.
+    The far nodes' weights keep only their absolute digits, which the tail's bounded,
+    decaying summand does not need."""
+    k = np.arange(_LAGUERRE)
+    return gauss(2.0 * k + 1.0, k[1:])
 
 
 def _check_range(sol: SeriesSolution, r: np.ndarray, values: dict) -> None:
@@ -165,7 +174,7 @@ class WronskianEvaluator:
         if not (math.isfinite(up_rt) and up_rt != 0.0):
             raise _out_of_range(sol, "u_+", up_rt, self._r_t, "r_t")
         self._tail_rt = self._evaluate_tail(np.array([self._r_t]), False)[0][0] / up_rt
-        self._gauss = np.polynomial.legendre.leggauss(_QUAD_ORDER)
+        self._gauss = _legendre(_QUAD_ORDER)
         self._pole_data()
         self._build_panels()
 
@@ -230,7 +239,10 @@ class WronskianEvaluator:
         g[sub] -= self._c2[ps] / s**2 + self._c1[ps] / s
         near = np.flatnonzero(kind == 2)
         pn = p[near, None]
-        g[near] = polyval(self._offset(x[near], pn), self._rem[:, pn], tensor=False)
+        s, h = self._offset(x[near], pn), 0.0
+        for row in self._rem[::-1]:  # Horner
+            h = h * s + row[pn]
+        g[near] = h
         return g
 
     # -- panel quadrature ----------------------------------------------------

@@ -134,6 +134,16 @@ def test_verify_loads_no_scipy():
     assert not {m for m in _modules_after("verify", "--n-max", "1") if m.startswith("scipy")}
 
 
+@pytest.mark.parametrize("argv", [
+    ["nodes", "--z", "1", "--n", "3"],
+    ["wave", "--z", "1", "--n", "2", "--samples", "300"],
+    ["superpose", "--states", "1,2"],
+    ["verify", "--n-max", "1"],
+], ids=lambda argv: argv[0])
+def test_numeric_subcommands_load_no_numpy_polynomial(argv):
+    assert not {m for m in _modules_after(*argv) if m.startswith("numpy.polynomial")}
+
+
 def test_cli_import_loads_no_numpy():
     loaded = _modules_after()
     assert "numpy" not in loaded
@@ -369,6 +379,22 @@ def test_numbers_float64_cannot_hold_exit_2(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert "out of float64 range" in captured.err
+
+
+def test_state_of_a_huge_z_exits_0(capsys):
+    # k_o**2*alpha overflows at Z = 10**103, but beta1 = 2Z does not
+    code, printed = run_cli(capsys, "state", "--z", str(10**103))
+    assert code == 0
+    assert json.loads(printed)["beta1"] == 2e103
+
+
+def test_free_node_position_overflow_exit_2_names_the_branch(capsys):
+    code = main(["free", "--v", "2.2e-154"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "v=2.2e-154 and m=1.0 are out of float64 range" in captured.err
+    assert "branch 3" in captured.err
 
 
 def test_out_file(tmp_path, capsys):

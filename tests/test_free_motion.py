@@ -55,6 +55,31 @@ def test_parameters_past_float64_rejected(v, m):
         free_params(v, m)
 
 
+@pytest.mark.parametrize(
+    "v,name",
+    [
+        (1e-155, "E"),  # E = 5e-311 and omega = 1e-310 are subnormal
+        (1.5e-154, "E"),  # omega = 2.25e-308 is normal, E = 1.125e-308 is not
+    ],
+)
+def test_subnormal_parameters_rejected(v, name):
+    refusal = re.escape(f"v={v!r} and m=1.0 are out of float64 range: {name} is not")
+    with pytest.raises(ValueError, match=refusal):
+        free_params(v)
+
+
+def test_overflowing_node_position_names_its_branch():
+    # pi/omega = 6.5e307: branch 2 is at 3.6e154, and (pi/omega)*3.5 overflows
+    p = free_params(2.2e-154)
+    assert math.isfinite(node_trajectory(p, 2, 0.0))
+    refusal = re.escape("v=2.2e-154 and m=1.0 are out of float64 range:"
+                        " the position of branch 3 at t=0.0 overflows")
+    with pytest.raises(ValueError, match=refusal):
+        node_trajectory(p, 3, 0.0)
+    with pytest.raises(ValueError, match=re.escape("branch 0 at t=1e+308 overflows")):
+        node_trajectory(free_params(2.0), 0, 1e308)
+
+
 @given(
     v=st.floats(0.05, 20.0),
     m=st.floats(0.05, 50.0),

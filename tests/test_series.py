@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vwave import wronskian
 from vwave.series import (
     build_series,
+    gauss,
     interior_zeros,
     quantization_index,
     quantization_scan,
@@ -78,6 +80,43 @@ def test_interior_zeros_match_the_laguerre_roots(n):
     r_o = sol.state.r_o
     want = np.sort(r_o - roots_genlaguerre(n - 1, 1)[0] / (2.0 * sol.state.k_o))
     assert np.max(np.abs(np.array(interior_zeros(sol)) - want)) <= 1e-14 * r_o
+
+
+def test_gauss_of_an_empty_matrix_is_empty():
+    # n = 1: L^{(1)}_0 has no zeros, and its Jacobi matrix is 0 x 0
+    nodes, weights = gauss(np.zeros(0), np.zeros(0))
+    assert nodes.shape == weights.shape == (0,)
+    assert build_series(AtomSpec(1, 1)).roots == ()
+
+
+def test_legendre_rule_matches_leggauss_and_its_moments():
+    x, w = wronskian._legendre(32)
+    want_x, want_w = np.polynomial.legendre.leggauss(32)
+    np.testing.assert_allclose(x, want_x, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(w, want_w, rtol=0.0, atol=2e-15)
+    # exact to degree 63: int_{-1}^1 x^k dx, the error relative to int |x|^k
+    for k in range(64):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(w @ x**k - exact) <= 5e-14 * 2.0 / (k + 1)
+
+
+def test_laguerre_rule_matches_laggauss_and_its_low_moments():
+    t, w = wronskian._laguerre()
+    want_t, want_w = np.polynomial.laguerre.laggauss(wronskian._LAGUERRE)
+    np.testing.assert_allclose(t, want_t, rtol=2e-13, atol=0.0)
+    # the far nodes' weights (down to 1e-61) keep only absolute digits
+    np.testing.assert_allclose(w, want_w, rtol=0.0, atol=2e-13)
+    # int_0^inf t^k exp(-t) dt = k!
+    for k in range(11):
+        assert w @ t**k == pytest.approx(math.factorial(k), rel=2e-14)
+
+
+def test_each_quadrature_rule_is_built_once():
+    sol = build_series(AtomSpec(1, 3))
+    ev = wronskian.WronskianEvaluator(sol)
+    assert wronskian.WronskianEvaluator(sol)._gauss is ev._gauss
+    assert ev._gauss is wronskian._legendre(wronskian._QUAD_ORDER)
+    assert wronskian._laguerre() is wronskian._laguerre()
 
 
 def test_u_plus_value_at_origin_n2():

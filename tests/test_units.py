@@ -1,5 +1,7 @@
 """State derivation and the closed-form spectrum."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -69,3 +71,19 @@ def test_state_past_the_largest_float_is_refused(z, n):
     # n = 10**154, where E would be -0.0 and k_o = 0
     with pytest.raises(ValueError, match=rf"\(Z={z}, n={n}\) is out of float64 range"):
         derive_state(AtomSpec(z, n))
+
+
+def test_beta1_of_a_huge_z_is_finite():
+    # k_o**2*alpha = 2e309 overflows before the division by beta0_sq; beta1 = 2Z
+    st_ = derive_state(AtomSpec(10**103, 1))
+    assert st_.beta1 == 2e103
+    assert all(math.isfinite(x) for x in vars(st_).values())
+
+
+def test_beta1_keeps_its_bits_where_it_was_finite():
+    # the overflow fallback serves only beta1 = inf: every other state keeps
+    # k_o**2*alpha/beta0_sq to the last bit
+    for z in range(1, 200):
+        for n in range(1, 80):
+            st_ = derive_state(AtomSpec(z, n))
+            assert st_.beta1 == st_.k_o**2 * st_.alpha / st_.beta0_sq

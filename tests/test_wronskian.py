@@ -210,15 +210,15 @@ def test_u_minus_at_interior_zeros_is_minus_reciprocal_slope(z, n):
 
 def _laguerre_u_minus(ev, r):
     """u_- = exp(-k_o*r)*P(r)/(2*k_o) * sum_j w_j/P(r + t_j/(2*k_o))^2 at one r >= r_t."""
-    t, w = np.polynomial.laguerre.laggauss(40)
+    t, w = wronskian._laguerre()
     p = product_form(ev.r_o - r - np.r_[0.0, t] / (2.0 * ev.k_o), ev.sol)[0]
     return math.exp(-ev.k_o * r) * p[0] / (2.0 * ev.k_o) * float(np.dot(w, p[1:] ** -2.0))
 
 
 def _panel_sums(ev):
     """int_0^breaks[i] and int_breaks[i]^r_t of the regularized integrand, from the
-    full panels summed once with a Gauss rule of this module's own."""
-    x, w = np.polynomial.legendre.leggauss(wronskian._QUAD_ORDER)
+    full panels summed once with the kernel's Gauss rule."""
+    x, w = wronskian._legendre(wronskian._QUAD_ORDER)
     mid, half = 0.5 * (ev._breaks[1:] + ev._breaks[:-1]), 0.5 * np.diff(ev._breaks)
     g = ev._regularized_integrand(mid[:, None] + half[:, None] * x, np.arange(len(mid)))
     # reduced as the build reduces them: left of r_o the running sum nearly
@@ -229,15 +229,15 @@ def _panel_sums(ev):
 
 
 def _u_minus_one_radius(ev, r, sums):
-    """Reference: the kernel's arithmetic for one radius, with Gauss sums of its own;
-    sums is _panel_sums(ev)."""
+    """Reference: the kernel's arithmetic for one radius, summed radius by radius on
+    the kernel's Gauss rules; sums is _panel_sums(ev)."""
     if r >= ev._r_t:
         return _laguerre_u_minus(ev, r)
     i = int(np.searchsorted(ev._breaks, r, side="right")) - 1
     a, b = float(ev._breaks[i]), float(ev._breaks[i + 1])
     # the part of the panel toward 0 left of r_o, toward r_t right of it
     lo, hi = (a, r) if r < ev.r_o else (r, b)
-    x, w = np.polynomial.legendre.leggauss(wronskian._QUAD_ORDER)
+    x, w = wronskian._legendre(wronskian._QUAD_ORDER)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     g = ev._regularized_integrand((mid + half * x)[None], np.array([i]))[0]
     part = half * float(np.dot(w, g))
