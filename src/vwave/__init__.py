@@ -31,7 +31,6 @@ _EXPORTS = {
     "sample_wave": "wronskian",
     "superpose": "wronskian",
     "u_minus": "wronskian",
-    "wave_full": "wronskian",
     "NodeKind": "nodes",
     "NodeReport": "nodes",
     "find_nodes": "nodes",

@@ -71,6 +71,8 @@ def node_trajectory(p: FreeParams, branch: int, t: float) -> float:
     """Position of moving node ``branch`` at time t: x = v*(t + (pi/omega)*(branch + 1/2));
     ValueError where that is not finite."""
     x = p.v * (t + (math.pi / p.omega) * (branch + 0.5))
+    if not math.isfinite(x):  # pi/omega = pi/(m*v^2) may overflow where x does not
+        x = p.v * t + (math.pi / (p.m * p.v)) * (branch + 0.5)
     if not math.isfinite(x):
         raise ValueError(f"v={p.v!r} and m={p.m!r} are out of float64 range:"
                          f" the position of branch {branch} at t={t!r} overflows")

@@ -150,7 +150,7 @@ def common_tracking_grid(waves: list[BoundWave], samples: int = 1000) -> RadialG
 
     The span runs from the largest first sample to the smallest last sample
     among the waves, and points inside the gap any wave leaves around its r_o
-    are dropped, so every wave can be interpolated at every grid point.
+    are dropped, so every wave's r_of accepts every grid point.
     """
     if not waves:
         raise ValueError("need at least one wave")
@@ -192,8 +192,8 @@ def track_superposition_nodes(
     The superposed values of all slices form one (time, radius) array, and
     one test over it finds every bracket: a sample where the wave is exactly
     0 (reported there), a sign change across an excluded neighborhood
-    (reported at its center), and any other sign change (bisected on the
-    interpolants).
+    (reported at its center), and any other sign change (bisected on
+    superpose, which reads each wave's R from BoundWave.r_of).
     """
     if len(times) < 2:
         raise ValueError("need at least 2 time samples")

@@ -32,17 +32,20 @@ r_t = r_o + 3/k_o, or r_o + (n/7)/k_o from n = 24 on.  From there on,
 r' = r + t/(2*k_o) makes the integral to infinity a Gauss-Laguerre sum,
 with P = exp(-k_o*r)*u_+:
 u_- = exp(-k_o*r)*P(r)/(2*k_o) * sum_j w_j/P(r + t_j/(2*k_o))^2.  No cutoff.
+
+A sampled wave (BoundWave) holds R = u_-/r and its exact slope at each sample
+and no interpolant object: BoundWave.r_of reads the two samples around a radius
+and evaluates their cubic Hermite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .hermite import hermite
 from .series import SeriesSolution, gauss, interior_zeros, product_form, u_plus, u_plus_prime
 from .units import AtomSpec, StateParams
 
@@ -66,13 +69,12 @@ class RadialGrid:
             if inside.any():
                 raise ValueError(f"samples fall inside exclusion zone ({lo}, {hi})")
         object.__setattr__(self, "samples", s)
-        cuts = sorted(0.5 * (lo + hi) for lo, hi in self.exclusion_zones)
-        parts = np.split(s, np.searchsorted(s, cuts))
-        object.__setattr__(self, "_segments", tuple(seg for seg in parts if len(seg)))
 
     def segments(self) -> tuple[np.ndarray, ...]:
         """Maximal runs of samples not separated by an exclusion zone."""
-        return self._segments
+        cuts = sorted(0.5 * (lo + hi) for lo, hi in self.exclusion_zones)
+        parts = np.split(self.samples, np.searchsorted(self.samples, cuts))
+        return tuple(seg for seg in parts if len(seg))
 
 
 # half-width, in units of r_o, of the neighborhood a sampled grid leaves out around r_o
@@ -424,7 +426,7 @@ def u_minus_and_slope(r, sol: SeriesSolution) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class BoundWave:
     """Sampled bound wave of one stationary state: a frozen value, so a copy made by
-    dataclasses.replace derives its own interpolants from its own samples."""
+    dataclasses.replace interpolates its own samples."""
 
     atom: AtomSpec
     state: StateParams
@@ -436,20 +438,23 @@ class BoundWave:
     left_limit_at_ro: float
     right_limit_at_ro: float
 
-    @cached_property
-    def _pieces(self) -> list:
-        """Cubic Hermite interpolants of R on its exact slopes, one per smooth segment."""
-        segs = self.grid.segments()
-        cuts = np.cumsum([len(seg) for seg in segs])[:-1]
-        return [hermite(seg, v, d) for seg, v, d
-                in zip(segs, np.split(self.r_vals, cuts), np.split(self.r_slopes, cuts))]
-
     def r_of(self, r: float) -> float:
-        """Interpolated R at radius r; rejects radii outside the sampled domain."""
-        for seg, itp in zip(self.grid.segments(), self._pieces):
-            if seg[0] <= r <= seg[-1]:
-                return float(itp(r))
-        raise ValueError(f"r={r} outside the sampled domain or inside an exclusion zone")
+        """R at radius r: the cubic Hermite, on R's exact slopes, of the two samples
+        around r.  Rejects r outside [first, last sample] and r strictly between two
+        samples that bound an exclusion zone; a radius on a sample is accepted."""
+        x = self.grid.samples
+        if not x[0] <= r <= x[-1]:
+            raise ValueError(f"r={r} outside the sampled domain or inside an exclusion zone")
+        i = min(int(x.searchsorted(r, side="right")), len(x) - 1)  # x[i-1] <= r < x[i]
+        a, b = float(x[i - 1]), float(x[i])
+        if r > a and any(a <= lo and hi <= b for lo, hi in self.grid.exclusion_zones):
+            raise ValueError(f"r={r} outside the sampled domain or inside an exclusion zone")
+        y0, y1 = float(self.r_vals[i - 1]), float(self.r_vals[i])
+        d0, d1 = float(self.r_slopes[i - 1]), float(self.r_slopes[i])
+        h, s = b - a, r - a
+        m = (y1 - y0) / h
+        t = (d0 + d1 - 2.0 * m) / h
+        return y0 + d0 * s + ((m - d0) / h - t) * (s * s) + t / h * (s * s * s)
 
 
 def sample_wave(sol: SeriesSolution, grid: RadialGrid) -> BoundWave:
@@ -471,19 +476,14 @@ def sample_wave(sol: SeriesSolution, grid: RadialGrid) -> BoundWave:
                      r_vals=rv, r_slopes=rs, left_limit_at_ro=left, right_limit_at_ro=right)
 
 
-def wave_full(r: float, t: float, wave: BoundWave) -> float:
-    """Time-dependent wave V(r, t) = u_-(r) * cos(omega*t) / r."""
-    return wave.r_of(r) * math.cos(wave.state.omega * t)
-
-
 def superpose(waves: list[BoundWave], weights: list[float], r: float, t: float) -> float:
-    """Weighted sum of full waves sharing one nucleus."""
+    """V(r, t) = sum_i c_i * R_i(r) * cos(omega_i * t) of waves sharing one nucleus."""
     if not waves or len(waves) != len(weights):
         raise ValueError("need equally many waves and weights, at least one each")
     zs = {w.atom.z for w in waves}
     if len(zs) > 1:
         raise ValueError(f"waves mix nuclear charges {sorted(zs)}")
-    return sum(c * wave_full(r, t, w) for c, w in zip(weights, waves))
+    return sum(c * w.r_of(r) * math.cos(w.state.omega * t) for c, w in zip(weights, waves))
 
 
 def tail_decay_rate(wave: BoundWave) -> float:

@@ -17,8 +17,7 @@ PUBLIC = {
     "ode_residual": "verify", "pde_residual_free": "verify",
     "quantization_scan": "series", "sample_wave": "wronskian", "shoot_inward": "verify",
     "superpose": "wronskian", "track_superposition_nodes": "nodes",
-    "u_minus": "wronskian", "u_plus": "series", "wave_full": "wronskian",
-    "wave_value": "free_motion",
+    "u_minus": "wronskian", "u_plus": "series", "wave_value": "free_motion",
 }
 
 
@@ -52,7 +51,7 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_removed_names_not_exported():
-    for name in ("Constants", "constants", "classify_locus"):
+    for name in ("Constants", "constants", "classify_locus", "wave_full"):
         assert name not in vwave.__all__
         assert not hasattr(vwave, name)
 

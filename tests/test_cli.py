@@ -6,6 +6,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from vwave.cli import _OPTIONS, _SUBCOMMANDS, build_parser, main, read_config, resolve_options
@@ -319,6 +320,34 @@ def test_golden_outputs(capsys, argv, golden):
     assert out == expected
 
 
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["superpose", "--z", "2", "--states", "1,3", "--weights=1,-1"],
+         "superpose_z2_states1_3_weights1_-1.json"),
+        (["superpose", "--states", "2,5,9"], "superpose_states2_5_9.json"),
+    ],
+)
+def test_superpose_golden_outputs(capsys, argv, golden):
+    # node tracking passes through exp and eigh, whose last bits may differ
+    # between platforms: everything but the node radii must match exactly,
+    # and each radius within 1e-12 relative
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    got = json.loads(out)
+    want = json.loads((Path(__file__).parent / "golden" / golden).read_text(encoding="utf-8"))
+    assert got.keys() == want.keys()
+    for key in want.keys() - {"slices", "tracks"}:
+        assert got[key] == want[key], key
+    assert [(sl.keys(), sl["t"], sl["degenerate"], len(sl["radii"])) for sl in got["slices"]] == [
+        (sl.keys(), sl["t"], sl["degenerate"], len(sl["radii"])) for sl in want["slices"]]
+    assert [[p["t"] for p in tr] for tr in got["tracks"]] == [
+        [p["t"] for p in tr] for tr in want["tracks"]]
+    for name, radii in (("slices", lambda d: [r for sl in d["slices"] for r in sl["radii"]]),
+                        ("tracks", lambda d: [p["r"] for tr in d["tracks"] for p in tr])):
+        np.testing.assert_allclose(radii(got), radii(want), rtol=1e-12, atol=0.0, err_msg=name)
+
+
 def test_read_config_types(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("samples = 500\nr-max = 2.5\n")
@@ -389,12 +418,21 @@ def test_state_of_a_huge_z_exits_0(capsys):
 
 
 def test_free_node_position_overflow_exit_2_names_the_branch(capsys):
-    code = main(["free", "--v", "2.2e-154"])
+    code = main(["free", "--v", "10", "--t", "1e308"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "v=2.2e-154 and m=1.0 are out of float64 range" in captured.err
-    assert "branch 3" in captured.err
+    assert "v=10.0 and m=1.0 are out of float64 range" in captured.err
+    assert "branch 0" in captured.err
+
+
+def test_free_finite_node_positions_past_an_overflowing_pi_over_omega(capsys):
+    # pi/omega overflows at v = 2.2e-154, but every position is finite
+    code, out = run_cli(capsys, "free", "--v", "2.2e-154", "--branches", "4", "--format", "json")
+    assert code == 0
+    xs = json.loads(out)["node_positions"]
+    assert len(xs) == 4 and all(np.isfinite(xs))
+    assert xs[3] == pytest.approx(3.5 * np.pi / 2.2e-154, rel=1e-15)
 
 
 def test_out_file(tmp_path, capsys):

@@ -68,16 +68,28 @@ def test_subnormal_parameters_rejected(v, name):
         free_params(v)
 
 
-def test_overflowing_node_position_names_its_branch():
-    # pi/omega = 6.5e307: branch 2 is at 3.6e154, and (pi/omega)*3.5 overflows
+def test_finite_node_position_past_an_overflowing_pi_over_omega():
+    # pi/omega = 6.5e307, and (pi/omega)*3.5 overflows, but v*(pi/omega)*3.5 does not
     p = free_params(2.2e-154)
-    assert math.isfinite(node_trajectory(p, 2, 0.0))
-    refusal = re.escape("v=2.2e-154 and m=1.0 are out of float64 range:"
-                        " the position of branch 3 at t=0.0 overflows")
-    with pytest.raises(ValueError, match=refusal):
-        node_trajectory(p, 3, 0.0)
+    assert node_trajectory(p, 3, 0.0) == pytest.approx(3.5 * math.pi / 2.2e-154, rel=1e-15)
+    assert node_trajectory(p, 2, 0.0) == pytest.approx(2.5 * math.pi / 2.2e-154, rel=1e-15)
+
+
+def test_finite_node_positions_keep_their_last_bits():
+    # the finite expression is kept as it was: v*t + (pi/(m*v))*2.5 reads ...988 here
+    assert node_trajectory(free_params(1.5), 2, 0.0) == 5.235987755982989
+
+
+def test_overflowing_node_position_names_its_branch():
     with pytest.raises(ValueError, match=re.escape("branch 0 at t=1e+308 overflows")):
         node_trajectory(free_params(2.0), 0, 1e308)
+    # pi/(m*v) = 5.0e307: branch 3 is at 1.75e308, branch 4 past the largest float
+    p = free_params(1.0, 6.28e-308)
+    assert math.isfinite(node_trajectory(p, 3, 0.0))
+    refusal = re.escape("v=1.0 and m=6.28e-308 are out of float64 range:"
+                        " the position of branch 4 at t=0.0 overflows")
+    with pytest.raises(ValueError, match=refusal):
+        node_trajectory(p, 4, 0.0)
 
 
 @given(

@@ -19,7 +19,6 @@ from vwave.wronskian import (
     tail_decay_rate,
     u_minus,
     u_minus_and_slope,
-    wave_full,
 )
 
 
@@ -542,14 +541,67 @@ def test_sampled_wave_matches_pointwise_evaluation(solutions, waves):
         assert wave.r_vals[i] == pytest.approx(wave.u_minus[i] / r, rel=1e-13)
 
 
-def test_wave_full_time_factor(waves):
+def test_superpose_time_factor(waves):
     wave = waves[1]
     r = 3.0
-    base = wave_full(r, 0.0, wave)
+    base = superpose([wave], [1.0], r, 0.0)
     t = 0.4
-    assert wave_full(r, t, wave) == pytest.approx(
+    assert superpose([wave], [1.0], r, t) == pytest.approx(
         base * math.cos(wave.state.omega * t), rel=1e-12
     )
+
+
+def _segment_arrays(wave):
+    """(samples, R, dR/dr) of each smooth segment of a sampled wave."""
+    cuts = np.cumsum([len(seg) for seg in wave.grid.segments()])[:-1]
+    return zip(wave.grid.segments(), np.split(wave.r_vals, cuts), np.split(wave.r_slopes, cuts))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_r_of_matches_scipy_cubic_hermite(waves, n):
+    from scipy.interpolate import CubicHermiteSpline
+
+    wave = waves[n]
+    for x, y, d in _segment_arrays(wave):
+        xx = np.concatenate([x, np.linspace(x[0], x[-1], 2001)])
+        ref = CubicHermiteSpline(x, y, d)(xx)
+        got = np.array([wave.r_of(float(r)) for r in xx])
+        assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-300)) <= 1e-13
+
+
+def test_r_of_reproduces_a_cubic(waves):
+    def p(r):
+        return 0.5 - 1.5 * r + 0.75 * r**2 - 0.25 * r**3
+
+    def dp(r):
+        return -1.5 + 1.5 * r - 0.75 * r**2
+
+    wave = waves[1]
+    x = wave.grid.samples
+    cubic = dataclasses.replace(wave, r_vals=p(x), r_slopes=dp(x))
+    for seg in wave.grid.segments():
+        between = 0.5 * (seg[1:] + seg[:-1])
+        got = np.array([cubic.r_of(float(r)) for r in between])
+        np.testing.assert_allclose(got, p(between), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_r_of_at_the_edges_of_the_gap_around_ro(waves, n):
+    # make_radial_grid snaps the last sample left of r_o onto the zone's edge;
+    # that sample bounds the one interval spanning the gap, and is accepted
+    wave = waves[n]
+    x, r_o = wave.grid.samples, wave.state.r_o
+    k = int(np.searchsorted(x, r_o))
+    assert x[k - 1] == wave.grid.exclusion_zones[0][0]
+    assert wave.r_of(float(x[k - 1])) == wave.r_vals[k - 1]
+    assert wave.r_of(float(x[k])) == wave.r_vals[k]
+    assert wave.r_of(float(x[0])) == wave.r_vals[0]
+    assert wave.r_of(float(x[-1])) == pytest.approx(wave.r_vals[-1], rel=1e-15)
+    rejected = [r_o, 0.5 * (x[k - 1] + x[k]), math.nan, math.inf, -math.inf,
+                np.nextafter(x[0], 0.0), np.nextafter(x[-1], math.inf)]
+    for r in rejected:
+        with pytest.raises(ValueError, match="outside the sampled domain"):
+            wave.r_of(float(r))
 
 
 def test_r_of_rejects_out_of_domain(waves):
