@@ -36,33 +36,38 @@ def _segment_residual(u: np.ndarray, state: StateParams, seg: np.ndarray) -> flo
     """Max pointwise-normalized residual of u on one uniform segment (3-point stencil)."""
     h = seg[1] - seg[0]
     upp = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h**2
-    mid = seg[1:-1]
-    coef = _coefficient(mid, state)
-    resid = np.abs(upp + coef * u[1:-1])
-    scale = np.abs(upp) + state.k_o**2 * np.abs(u[1:-1]) + np.abs(coef * u[1:-1])
+    cu = _coefficient(seg[1:-1], state) * u[1:-1]
+    resid = np.abs(upp + cu)
+    scale = np.abs(upp) + state.k_o**2 * np.abs(u[1:-1]) + np.abs(cu)
     return float(np.max(resid / scale))
 
 
-def ode_residual(u_sampler, state: StateParams, grid: RadialGrid) -> ResidualReport:
+def ode_residual(u, state: StateParams, grid: RadialGrid) -> ResidualReport:
     """Residual of a sampled radial solution, with a two-grid order estimate.
 
-    ``u_sampler`` maps an array of radii to u values.  Each smooth segment of
-    the grid must be uniform with at least 50 points; second derivatives use
-    the central second-order stencil.  The convergence order is estimated
-    against a 2x-coarsened copy of the grid (refining instead would push the
-    finer residual toward the rounding floor of the stencil).
+    ``u`` holds the solution's values at ``grid.samples``.  Each smooth
+    segment of the grid must be uniform with at least 50 points; second
+    derivatives use the central second-order stencil.  The convergence order
+    is estimated against a 2x-coarsened copy of the grid (refining instead
+    would push the finer residual toward the rounding floor of the stencil).
     """
+    u = np.asarray(u, dtype=float)
+    if u.shape != grid.samples.shape:
+        raise ValueError(f"u has shape {u.shape}, but the grid has {len(grid.samples)} samples")
     worst = 0.0
     worst_coarse = 0.0
+    start = 0
     for seg in grid.segments():
         if len(seg) < 50:
             raise ValueError("grid too coarse: need at least 50 points per segment")
         h = np.diff(seg)
-        if not np.allclose(h, h[0], rtol=1e-9):
+        # np.allclose(h, h[0], rtol=1e-9) with its default atol, without its overhead
+        if not np.all(np.abs(h - h[0]) <= 1e-8 + 1e-9 * abs(h[0])):
             raise ValueError("grid must be uniform within each smooth segment")
-        u = np.asarray(u_sampler(seg), dtype=float)
-        worst = max(worst, _segment_residual(u, state, seg))
-        worst_coarse = max(worst_coarse, _segment_residual(u[::2], state, seg[::2]))
+        u_seg = u[start:start + len(seg)]
+        start += len(seg)
+        worst = max(worst, _segment_residual(u_seg, state, seg))
+        worst_coarse = max(worst_coarse, _segment_residual(u_seg[::2], state, seg[::2]))
     order = math.log2(worst_coarse / worst) if worst > 0 else float("nan")
     return ResidualReport(max_rel_residual=worst, order_estimate=order)
 
@@ -74,10 +79,13 @@ def make_residual_grid(state: StateParams, zero_loci: list[float]) -> RadialGrid
     zeros of u_+ and, for the decaying branch, its own crossings): the
     pointwise residual normalization is ill-conditioned at any zero of the
     solution, so r_o and each locus get a neighborhood of half-width
-    0.05*r_o.  Overlapping zones are merged.  Each segment holds 4000 points
-    per r_o, and at least 50.
+    0.05*r_o.  Overlapping zones are merged and clipped to the grid's span.
+    Each segment of positive length holds 4000 points per r_o, and at least
+    50.  Raises ValueError when the zones leave no segment left of r_o, as
+    they do from n = 55 (Z = 1), where the zones of neighbouring zeros merge.
     """
     r_o = state.r_o
+    r_lo, r_hi = 0.05 * r_o, 3.0 * r_o
     zones = [(r_o * (1 - 0.05), r_o * (1 + 0.05))]
     zones += [(z - 0.05 * r_o, z + 0.05 * r_o) for z in zero_loci]
     zones.sort()
@@ -87,17 +95,20 @@ def make_residual_grid(state: StateParams, zero_loci: list[float]) -> RadialGrid
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
-    zones = [(lo, hi) for lo, hi in merged]
-    edges = [0.05 * r_o]
+    zones = [(max(lo, r_lo), min(hi, r_hi)) for lo, hi in merged]
+    edges = [r_lo]
     for lo, hi in zones:
         edges += [lo, hi]
-    edges.append(3.0 * r_o)
-    samples = []
-    for a, b in zip(edges[::2], edges[1::2]):
-        k = max(50, int(round((b - a) / r_o * 4000)))
-        samples.append(np.linspace(a, b, k))
-    arr = np.unique(np.concatenate(samples))
-    return RadialGrid(samples=arr, exclusion_zones=tuple(zones), r_max=3.0 * r_o)
+    edges.append(r_hi)
+    segments = [(a, b) for a, b in zip(edges[::2], edges[1::2]) if b > a]
+    if not any(b < r_o for a, b in segments):
+        raise ValueError(
+            f"the residual grid has no segment left of r_o = {r_o}: the zones around r_o "
+            f"and the zero loci cover [{zones[0][0]}, {zones[0][1]}]")
+    samples = [np.linspace(a, b, max(50, int(round((b - a) / r_o * 4000))))
+               for a, b in segments]
+    return RadialGrid(samples=np.concatenate(samples), exclusion_zones=tuple(zones),
+                      r_max=r_hi)
 
 
 @dataclass(frozen=True)
@@ -171,15 +182,21 @@ def _taylor(r0: np.ndarray, tau: np.ndarray, start: np.ndarray, k_o: float,
     return c
 
 
-def _transfer(r0: np.ndarray, tau: np.ndarray, k_o: float, r_pole: float) -> np.ndarray:
-    """Step matrices, shape (K, 2, 2), mapping (u, u') at r0 to (u, u') at r0 + tau."""
+def _transfer(r0: np.ndarray, tau: np.ndarray, k_o: float,
+              r_pole: float) -> tuple[np.ndarray, np.ndarray]:
+    """Step matrices and coefficients of the unit solutions about each r0.
+
+    Returns (matrices, c): the matrices, shape (K, 2, 2), map (u, u') at r0 to
+    (u, u') at r0 + tau; c, shape (K, 2, _TAYLOR_TERMS), holds the scaled
+    Taylor coefficients of the solutions started at (u, u') = (1, 0) and (0, 1).
+    """
     basis = np.zeros((len(r0), 2, 2))
     basis[:, 0, 0] = 1.0  # u = 1, u' = 0
     basis[:, 1, 1] = tau  # u = 0, u' = 1
     c = _taylor(r0, tau, basis, k_o, r_pole)
     u = c.sum(axis=-1)
     du = (c @ np.arange(_TAYLOR_TERMS)) / tau[:, None]
-    return np.stack([u, du], axis=1)
+    return np.stack([u, du], axis=1), c
 
 
 @dataclass(frozen=True)
@@ -188,25 +205,35 @@ class ShootingProfile:
 
     ``r`` holds the step nodes in increasing order, ``u`` and ``du`` the
     solution and its slope there; ``k_o`` and ``r_pole`` fix the ODE.
+    ``coeffs[k]`` holds the scaled Taylor coefficients of the step from r[k]
+    inward to r[k - 1]; no step leaves r_stop, so ``coeffs[0]`` is u[0] alone.
     """
 
     r: np.ndarray
     u: np.ndarray
     du: np.ndarray
+    coeffs: np.ndarray
     k_o: float
     r_pole: float
 
     def evaluate(self, r) -> np.ndarray:
-        """u at radii in [r_stop, r_start]: a Taylor step from the nearest node at or right."""
+        """u at radii in [r_stop, r_start], from the step of the nearest node at or right.
+
+        Sums that step's coefficients by Horner in x = tau/tau_step, which lies in
+        [0, 1]; at a node x = 0, so the node's own u is returned exactly.
+        """
         r = np.asarray(r, dtype=float)
         flat = r.ravel()
         if not np.all((flat >= self.r[0]) & (flat <= self.r[-1])):
             raise ValueError(f"radii must lie in [{self.r[0]}, {self.r[-1]}]")
         k = np.searchsorted(self.r, flat)
-        tau = flat - self.r[k]
-        start = np.stack([self.u[k], tau * self.du[k]], axis=-1)[:, None, :]
-        c = _taylor(self.r[k], tau, start, self.k_o, self.r_pole)
-        return c.sum(axis=-1).reshape(r.shape)
+        # at k = 0 the radius is r_stop, x = 0 and r[k - 1] (r_start) only keeps x finite
+        x = (flat - self.r[k]) / (self.r[k - 1] - self.r[k])
+        c = self.coeffs[k]
+        out = c[:, -1]
+        for m in range(_TAYLOR_TERMS - 2, -1, -1):
+            out = out * x + c[:, m]
+        return out.reshape(r.shape)
 
 
 def shoot_inward(energy: float, z: int, r_start: float, r_stop: float) -> ShootingProfile:
@@ -217,10 +244,11 @@ def shoot_inward(energy: float, z: int, r_start: float, r_stop: float) -> Shooti
     30-term Taylor series of length min(1/k_o, (r - r_o)/4), so the steps stay
     strictly right of the coefficient pole at r_o(E) and the last one lands on
     r_stop.  All step matrices come from one array pass and are chained as
-    2x2 products.  Started at 8*r_o and compared with Whittaker's W on
-    [1.2, 3]*r_o (Z = 1, 4; n = 1..6), the relative error is 6.2e-12 at n = 1,
-    where it is the growing branch that the pure-exponential start admits
-    (5e-16 from 12*r_o), and at most 3.7e-15 for n = 2..6.
+    2x2 products; each step's coefficients are kept for ``evaluate``.  Started
+    at 8*r_o and compared with Whittaker's W on [1.2, 3]*r_o (Z = 1, 4;
+    n = 1..6), the relative error is 6.2e-12 at n = 1, where it is the growing
+    branch that the pure-exponential start admits (5e-16 from 12*r_o), and at
+    most 3.7e-15 for n = 2..6.
     """
     if not all(math.isfinite(x) for x in (energy, r_start, r_stop)):
         raise ValueError(
@@ -249,14 +277,20 @@ def shoot_inward(energy: float, z: int, r_start: float, r_stop: float) -> Shooti
         r = nodes[-1]
         nodes.append(max(r_stop, r - min(1.0 / k_o, _STEP_FRACTION * (r - r_pole))))
     nodes = np.array(nodes)
+    mats, basis = _transfer(nodes[:-1], np.diff(nodes), k_o, r_pole)
     u, du = u0, -k_o * u0
     us, dus = [u], [du]
-    for (a, b), (c, d) in _transfer(nodes[:-1], np.diff(nodes), k_o, r_pole).tolist():
+    for (a, b), (c, d) in mats.tolist():
         u, du = a * u + b * du, c * u + d * du
         us.append(u)
         dus.append(du)
-    return ShootingProfile(r=nodes[::-1].copy(), u=np.array(us[::-1]), du=np.array(dus[::-1]),
-                           k_o=k_o, r_pole=r_pole)
+    us, dus = np.array(us), np.array(dus)
+    # each step's own solution: its start (u, u') times the unit solutions' coefficients
+    steps = us[:-1, None] * basis[:, 0] + dus[:-1, None] * basis[:, 1]
+    last = np.zeros((1, _TAYLOR_TERMS))
+    last[0, 0] = us[-1]
+    return ShootingProfile(r=nodes[::-1].copy(), u=us[::-1].copy(), du=dus[::-1].copy(),
+                           coeffs=np.concatenate([last, steps[::-1]]), k_o=k_o, r_pole=r_pole)
 
 
 def energy_closed_form(atom: AtomSpec) -> float:
@@ -325,14 +359,17 @@ def run_suite(z: int = 1, n_max: int = 3) -> dict:
         report = find_nodes(wave)
         loci = interior_zeros(sol) + u_minus_crossings(report)
         rgrid = make_residual_grid(sol.state, loci)
-        rep = ode_residual(lambda r: u_plus(r, sol), sol.state, rgrid)
+        rep = ode_residual(u_plus(rgrid.samples, sol), sol.state, rgrid)
         record(f"u_plus_residual_n{n}", rep.max_rel_residual, 1e-6)
-        rep_m = ode_residual(lambda r: u_minus(r, sol), sol.state, rgrid)
+        # one u_- pass: the residual grid, then two sign probes at r_o*(1 -/+ 1e-4)
+        r_o = sol.state.r_o
+        probes = np.array([1.0 - 1e-4, 1.0 + 1e-4]) * r_o
+        um = u_minus(np.concatenate([rgrid.samples, probes]), sol)
+        rep_m = ode_residual(um[:-2], sol.state, rgrid)
         record(f"u_minus_residual_n{n}", rep_m.max_rel_residual, 1e-4)
 
         # the quadrature itself, not the closed-form limits, must change sign
-        r_o = sol.state.r_o
-        left, right = u_minus(np.array([1.0 - 1e-4, 1.0 + 1e-4]) * r_o, sol)
+        left, right = um[-2:]
         record(f"sign_change_at_ro_n{n}", 0.0, 0.5, ok=left * right < 0.0)
         record(f"shooting_vs_wronskian_n{n}", shooting_deviation(sol, wave), 1e-4)
         surfaces = [nd for nd in report.nodes if nd.kind is NodeKind.TRAJECTORY_SURFACE]

@@ -99,8 +99,8 @@ def test_criterion_04_ode_residuals(solutions, waves):
         sol = solutions[n]
         loci = interior_zeros(sol) + u_minus_crossings(find_nodes(waves[n]))
         grid = make_residual_grid(sol.state, loci)
-        rep_p = ode_residual(lambda r: u_plus(r, sol), sol.state, grid)
-        rep_m = ode_residual(lambda r: u_minus(r, sol), sol.state, grid)
+        rep_p = ode_residual(u_plus(grid.samples, sol), sol.state, grid)
+        rep_m = ode_residual(u_minus(grid.samples, sol), sol.state, grid)
         worst_plus = max(worst_plus, rep_p.max_rel_residual)
         worst_minus = max(worst_minus, rep_m.max_rel_residual)
         orders += [rep_p.order_estimate, rep_m.order_estimate]

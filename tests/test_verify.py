@@ -6,11 +6,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from vwave.nodes import find_nodes
-from vwave.series import build_series, interior_zeros, u_plus
+from vwave.nodes import NodeKind, find_nodes
+from vwave.series import build_series, interior_zeros, termination_ratio, u_plus
 from vwave.units import AtomSpec, derive_state
 from vwave.verify import (
     SpaceTimeGrid,
+    _taylor,
     _transfer,
     energy_closed_form,
     make_residual_grid,
@@ -33,7 +34,8 @@ def _grid_for(sol, wave):
 
 def test_u_plus_residual_small_and_second_order(solutions, waves):
     sol = solutions[1]
-    rep = ode_residual(lambda r: u_plus(r, sol), sol.state, _grid_for(sol, waves[1]))
+    grid = _grid_for(sol, waves[1])
+    rep = ode_residual(u_plus(grid.samples, sol), sol.state, grid)
     assert rep.max_rel_residual < 1e-6
     assert 1.7 <= rep.order_estimate <= 2.3
 
@@ -44,17 +46,16 @@ def test_u_plus_residual_is_second_order_truncation_above_suite_n_max(n):
     # own truncation error grows with n, not because u_+ is wrong
     sol = build_series(AtomSpec(1, n))
     wave = sample_wave(sol, make_radial_grid(sol))
-    rep = ode_residual(lambda r: u_plus(r, sol), sol.state, _grid_for(sol, wave))
+    grid = _grid_for(sol, wave)
+    rep = ode_residual(u_plus(grid.samples, sol), sol.state, grid)
     assert 1.7 <= rep.order_estimate <= 2.3
 
 
 def test_perturbed_solution_detected(solutions, waves):
     sol = solutions[1]
     grid = _grid_for(sol, waves[1])
-    clean = ode_residual(lambda r: u_plus(r, sol), sol.state, grid)
-    noisy = ode_residual(
-        lambda r: u_plus(r, sol) + 1e-3 * np.asarray(r), sol.state, grid
-    )
+    clean = ode_residual(u_plus(grid.samples, sol), sol.state, grid)
+    noisy = ode_residual(u_plus(grid.samples, sol) + 1e-3 * grid.samples, sol.state, grid)
     assert noisy.max_rel_residual > 1e3 * clean.max_rel_residual
 
 
@@ -64,7 +65,7 @@ def test_residual_rejects_coarse_grid(solutions):
         samples=np.linspace(0.5, 5.0, 30), exclusion_zones=(), r_max=5.0
     )
     with pytest.raises(ValueError):
-        ode_residual(lambda r: u_plus(r, sol), sol.state, grid)
+        ode_residual(u_plus(grid.samples, sol), sol.state, grid)
 
 
 def test_residual_rejects_nonuniform_grid(solutions):
@@ -72,7 +73,55 @@ def test_residual_rejects_nonuniform_grid(solutions):
     samples = np.sort(np.concatenate([np.linspace(3.0, 5.0, 60), [5.5]]))
     grid = RadialGrid(samples=samples, exclusion_zones=(), r_max=6.0)
     with pytest.raises(ValueError):
-        ode_residual(lambda r: u_plus(r, sol), sol.state, grid)
+        ode_residual(u_plus(grid.samples, sol), sol.state, grid)
+
+
+def test_residual_refuses_values_not_on_the_grid(solutions, waves):
+    sol = solutions[1]
+    grid = _grid_for(sol, waves[1])
+    u = u_plus(grid.samples, sol)
+    for bad in (u[:-1], np.append(u, 0.0), u[:, None]):
+        with pytest.raises(ValueError, match="but the grid has"):
+            ode_residual(bad, sol.state, grid)
+
+
+def _unique_grid(state, zero_loci):
+    """Reference residual grid: np.unique of every segment, with unclipped zones."""
+    r_o = state.r_o
+    zones = sorted([(0.95 * r_o, 1.05 * r_o)] + [(z - 0.05 * r_o, z + 0.05 * r_o)
+                                                  for z in zero_loci])
+    merged = [list(zones[0])]
+    for lo, hi in zones[1:]:
+        if lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    edges = [0.05 * r_o] + [x for zone in merged for x in zone] + [3.0 * r_o]
+    samples = [np.linspace(a, b, max(50, int(round((b - a) / r_o * 4000))))
+               for a, b in zip(edges[::2], edges[1::2])]
+    return np.unique(np.concatenate(samples)), tuple(map(tuple, merged))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 30, 50])
+def test_residual_grid_concatenates_its_segments(n):
+    sol = build_series(AtomSpec(1, n))
+    wave = sample_wave(sol, make_radial_grid(sol))
+    loci = interior_zeros(sol) + u_minus_crossings(find_nodes(wave))
+    grid = make_residual_grid(sol.state, loci)
+    samples, zones = _unique_grid(sol.state, loci)
+    assert np.array_equal(grid.samples, samples)
+    assert grid.exclusion_zones == zones
+
+
+@pytest.mark.parametrize("n", [55, 60, 76])
+def test_residual_grid_refuses_zones_that_cover_the_left_side(n):
+    # the 0.05*r_o zones around neighbouring zeros merge into one that reaches
+    # below the grid's start, so no segment is left of r_o
+    sol = build_series(AtomSpec(1, n))
+    wave = sample_wave(sol, make_radial_grid(sol))
+    loci = interior_zeros(sol) + u_minus_crossings(find_nodes(wave))
+    with pytest.raises(ValueError, match=rf"no segment left of r_o = {sol.state.r_o}: .* cover \["):
+        make_residual_grid(sol.state, loci)
 
 
 def test_pde_residual_free_wave():
@@ -136,6 +185,26 @@ def test_shot_profile_refuses_radii_outside_its_range():
             prof.evaluate([2.0 * st.r_o, r])
 
 
+def _per_radius_shot(prof, r):
+    """u at r by a fresh Taylor recurrence from the nearest node at or right of each radius."""
+    k = np.searchsorted(prof.r, r)
+    tau = r - prof.r[k]
+    start = np.stack([prof.u[k], tau * prof.du[k]], axis=-1)[:, None, :]
+    return _taylor(prof.r[k], tau, start, prof.k_o, prof.r_pole).sum(axis=-1)[:, 0]
+
+
+@pytest.mark.parametrize("z", [1, 3, 6])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_shot_profile_sums_its_step_coefficients(z, n):
+    st = derive_state(AtomSpec(z, n))
+    prof = shoot_inward(st.energy, z, 8.0 * st.r_o, 1.2 * st.r_o * 0.99)
+    r = np.linspace(1.2, 3.0, 2000) * st.r_o
+    ref = _per_radius_shot(prof, r)
+    assert np.max(np.abs(prof.evaluate(r) - ref) / np.abs(ref)) <= 2e-15
+    # at a node the step's Horner sum is the node's own value, r_stop included
+    assert np.array_equal(prof.evaluate(prof.r), prof.u)
+
+
 @pytest.mark.parametrize("z", [1, 4])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_step_matrices_have_unit_determinant(z, n):
@@ -144,7 +213,7 @@ def test_step_matrices_have_unit_determinant(z, n):
     st = derive_state(AtomSpec(z, n))
     prof = shoot_inward(st.energy, z, 8.0 * st.r_o, 1.2 * st.r_o * 0.99)
     nodes = prof.r[::-1]
-    mats = _transfer(nodes[:-1], np.diff(nodes), prof.k_o, prof.r_pole)
+    mats, _ = _transfer(nodes[:-1], np.diff(nodes), prof.k_o, prof.r_pole)
     assert mats.shape == (len(nodes) - 1, 2, 2)
     assert np.max(np.abs(np.linalg.det(mats) - 1.0)) <= 1e-12
 
@@ -215,6 +284,38 @@ def test_u_minus_crossings_found(waves):
 def test_run_suite_rejects_n_max_it_does_not_check(n_max):
     with pytest.raises(ValueError, match=f"between 1 and 3, got {n_max}"):
         run_suite(1, n_max)
+
+
+@pytest.mark.parametrize("z", [1, 2, 6])
+def test_run_suite_reports_what_its_checks_compute(z):
+    expected = {
+        "energy_route_agreement": (route_agreement(z, 3), True),
+        "series_termination": (max(termination_ratio(AtomSpec(z, n)) for n in (1, 2, 3)), True),
+    }
+    for n in (1, 2, 3):
+        sol = build_series(AtomSpec(z, n))
+        wave = sample_wave(sol, make_radial_grid(sol))
+        report = find_nodes(wave)
+        grid = make_residual_grid(sol.state, interior_zeros(sol) + u_minus_crossings(report))
+        r_o = sol.state.r_o
+        left, right = u_minus(np.array([1.0 - 1e-4, 1.0 + 1e-4]) * r_o, sol)
+        surfaces = [nd.radius for nd in report.nodes if nd.kind is NodeKind.TRAJECTORY_SURFACE]
+        expected |= {
+            f"u_plus_residual_n{n}": (
+                ode_residual(u_plus(grid.samples, sol), sol.state, grid).max_rel_residual, True),
+            f"u_minus_residual_n{n}": (
+                ode_residual(u_minus(grid.samples, sol), sol.state, grid).max_rel_residual, True),
+            f"sign_change_at_ro_n{n}": (0.0, left * right < 0.0),
+            f"shooting_vs_wronskian_n{n}": (shooting_deviation(sol, wave), True),
+            f"trajectory_surface_n{n}": (
+                0.0, len(surfaces) == 1 and abs(surfaces[0] - r_o) <= 1e-6 * r_o),
+        }
+    checks = run_suite(z, 3)["checks"]
+    assert len(expected) == 17 and sorted(c["name"] for c in checks) == sorted(expected)
+    for chk in checks:
+        value, ok = expected[chk["name"]]
+        assert chk["value"] == value, chk["name"]
+        assert chk["passed"] == (ok and value <= chk["threshold"]), chk["name"]
 
 
 def test_run_suite_passes():

@@ -323,14 +323,14 @@ def _outward_shot(sol, r):
         nodes.append(min(end, x + step))
     nodes = np.array(nodes)
     y = [np.array([0.0, 1.0 / u_plus(0.0, sol)])]
-    for m in _transfer(nodes[:-1], np.diff(nodes), k_o, r_o):
+    for m in _transfer(nodes[:-1], np.diff(nodes), k_o, r_o)[0]:
         y.append(m @ y[-1])
     y = np.array(y)
     j = np.searchsorted(nodes, r, side="right") - 1
     out = y[j]
     tau = r - nodes[j]
     step = tau > 0.0
-    mats = _transfer(nodes[j[step]], tau[step], k_o, r_o)
+    mats, _ = _transfer(nodes[j[step]], tau[step], k_o, r_o)
     out[step] = np.einsum("kij,kj->ki", mats, y[j[step]])
     return out[:, 0], out[:, 1]
 
