@@ -47,11 +47,21 @@ def _list_of(item: Callable[[str], float]) -> Callable[[str], list]:
     return lambda text: [item(part) for part in text.split(",")]
 
 
+def _one_of(*choices: str) -> Callable[[str], str]:
+    """Converter for a flag or config value that must be one of ``choices``."""
+
+    def convert(text: str) -> str:
+        if text not in choices:
+            raise argparse.ArgumentTypeError(f"expected one of {', '.join(choices)}, got {text!r}")
+        return text
+
+    return convert
+
+
 class _Option(NamedTuple):
     type: Callable[[str], object]
     default: str | None  # as typed on the command line; help explains a None
     help: str
-    choices: tuple[str, ...] | None = None
 
 
 # Every option, declared once.  Flags, config values and defaults all pass
@@ -71,9 +81,9 @@ _OPTIONS = {
     "t_samples": _Option(_number(int), "16", "number of time slices"),
     "r_max": _Option(_number(float), "3.0", "grid extent in units of r_o"),
     "samples": _Option(_number(int), "1000", "number of radial grid points"),
-    "normalize": _Option(str, "off", "scale R to max |R| = 1", ("on", "off")),
+    "normalize": _Option(_one_of("on", "off"), "off", "scale R to max |R| = 1: on or off"),
     "config": _Option(Path, None, "key=value config file"),
-    "format": _Option(str, "json", "output format", ("csv", "json")),
+    "format": _Option(_one_of("csv", "json"), "json", "output format: csv or json"),
     "out": _Option(Path, None, "output path (default: stdout)"),
     "out_dir": _Option(Path, ".", "directory for figure_n{1,2,3}.csv"),
 }
@@ -88,8 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key in keys:
             opt = _OPTIONS[key]
             text = opt.help if opt.default is None else f"{opt.help} (default: {opt.default})"
-            p.add_argument("--" + key.replace("_", "-"), type=opt.type, choices=opt.choices,
-                           help=text)
+            p.add_argument("--" + key.replace("_", "-"), type=opt.type, help=text)
     return parser
 
 
@@ -97,8 +106,8 @@ def read_config(path: Path) -> dict:
     """Parse a UTF-8 key=value file with '#' comments.
 
     Keys are the long flag names of any subcommand (dashes or underscores),
-    so one file can serve every subcommand.  An unknown key, a value outside
-    a flag's choices or of the wrong type raises ValueError naming the key.
+    so one file can serve every subcommand.  An unknown key, or a value its
+    option's type refuses, raises ValueError naming the key.
     """
     cfg = {}
     for raw in path.read_text(encoding="utf-8").splitlines():
@@ -111,13 +120,8 @@ def read_config(path: Path) -> dict:
         key = key.replace("-", "_")
         if key not in _OPTIONS or key == "config":
             raise ValueError(f"unknown config key {key!r} in {path}")
-        opt = _OPTIONS[key]
-        if opt.choices and val not in opt.choices:
-            raise ValueError(
-                f"config key {key!r} must be one of {', '.join(opt.choices)}, got {val!r}"
-            )
         try:
-            cfg[key] = opt.type(val)
+            cfg[key] = _OPTIONS[key].type(val)
         except argparse.ArgumentTypeError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
     return cfg

@@ -10,9 +10,9 @@ terminates after n terms.  Then P(s) = s*L^{(1)}_{n-1}(2*k_o*s)/n (DLMF 18.5),
 so P is evaluated in product form, a_n*s*prod_j (s - s_j), over the zeros s_j
 of L^{(1)}_{n-1}(2*k_o*s): the nodes of its Gauss rule, divided by 2*k_o.
 The alternating monomial sum loses digits as n grows; the product keeps them,
-and vanishes exactly at the zeros it is built from.  Eigenvalues can also be
-found independently of the closed form by scanning the termination condition
-beta1/(2*k_o) = n over E.
+and vanishes exactly at the zeros it is built from.  termination_ratio checks
+the termination condition beta1 = 2*k_o*n on the state; scanning it over E
+finds the eigenvalues independently of the closed form.
 
 One helper, gauss, builds every Gauss rule vwave uses from its Jacobi matrix
 (Golub and Welsch, Math. Comp. 23, 1969): these zeros, and the Gauss-Legendre
@@ -118,10 +118,9 @@ def interior_zeros(sol: SeriesSolution) -> list[float]:
 
 
 def termination_ratio(atom: AtomSpec) -> float:
-    """|a_{n+1}| / max|a_m| after one extra recurrence application."""
-    sol = build_series(atom)
-    nxt = recurrence_step(atom.n, sol.coeffs[-1], sol.state.k_o, sol.state.beta1)
-    return abs(nxt) / max(abs(a) for a in sol.coeffs)
+    """|2*k_o*n - beta1| / beta1 from derive_state: the relative rounding of a_{n+1} = 0."""
+    state = derive_state(atom)
+    return abs(2.0 * state.k_o * atom.n - state.beta1) / state.beta1
 
 
 def quantization_index(energy: float, z: int) -> float:

@@ -1,9 +1,9 @@
 """Independent verification machinery.
 
 Everything here checks the solver through a route that does not share code
-with the construction being checked: finite-difference residuals of the wave
-equations, inward Taylor-series integration of the radial ODE, and the
-closed-form spectrum.
+with the construction being checked: finite-difference residuals of the
+library's own waves, inward Taylor-series integration of the radial ODE, the
+closed-form spectrum and the termination condition read from the state.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .free_motion import free_params
+from .free_motion import free_params, wave_value
 from .nodes import NodeKind, NodeReport, find_nodes
 from .series import build_series, interior_zeros, quantization_scan, termination_ratio, u_plus
 from .units import AtomSpec, StateParams, derive_state
@@ -123,28 +123,24 @@ class SpaceTimeGrid:
     dt: float
 
 
-def pde_residual_free(v: float, grid: SpaceTimeGrid,
-                      operator_speed: float | None = None) -> ResidualReport:
-    """FD residual of d2V/dt2 - v^2 d2V/dx2 on the analytic travelling wave.
+def pde_residual_free(v: float, grid: SpaceTimeGrid) -> ResidualReport:
+    """FD residual of d2V/dt2 - v^2 d2V/dx2 on free_motion.wave_value at velocity v.
 
-    ``operator_speed`` lets the caller deliberately mismatch the operator to
-    confirm the check detects a defect.  The convergence order is estimated
-    against a 2x-coarsened grid: halving the spacings instead would push the
-    second differences toward their rounding floor.
+    The convergence order is estimated against a 2x-coarsened grid: halving
+    the spacings instead would push the second differences toward their
+    rounding floor.
     """
     p = free_params(v)
-    a, w = p.amplitude, p.omega
-    v_op = v if operator_speed is None else operator_speed
 
     def residual(dx: float, dt: float) -> float:
         xs = np.arange(grid.x_lo, grid.x_hi + 0.5 * dx, dx)
         ts = np.arange(grid.t_lo, grid.t_hi + 0.5 * dt, dt)
         xg, tg = np.meshgrid(xs, ts, indexing="ij")
-        vals = a * np.cos(w * (xg / v - tg))
+        vals = wave_value(xg, tg, p)
         vtt = (vals[:, :-2] - 2 * vals[:, 1:-1] + vals[:, 2:]) / dt**2
         vxx = (vals[:-2, 1:-1] - 2 * vals[1:-1, 1:-1] + vals[2:, 1:-1]) / dx**2
-        res = np.abs(vtt[1:-1, :] - v_op**2 * vxx)
-        scale = np.abs(vtt[1:-1, :]) + v_op**2 * np.abs(vxx) + w**2 * a
+        res = np.abs(vtt[1:-1, :] - v**2 * vxx)
+        scale = np.abs(vtt[1:-1, :]) + v**2 * np.abs(vxx) + p.omega**2 * p.amplitude
         return float(np.max(res / scale))
 
     base = residual(grid.dx, grid.dt)

@@ -92,6 +92,11 @@ def test_verify_json_schema_and_exit_code(capsys):
     _validator("verify").validate(payload)
 
 
+def test_verify_passes_at_z_392(capsys):
+    assert main(["verify", "--z", "392"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 def test_verify_rejects_unchecked_n_max(capsys):
     code = main(["verify", "--z", "1", "--n-max", "10"])
     captured = capsys.readouterr()

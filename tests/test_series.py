@@ -30,7 +30,7 @@ def test_known_coefficients():
     assert c3[2] == pytest.approx(2.0 / 27.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("z", [1, 2, 3])
+@pytest.mark.parametrize("z", [1, 2, 3, 392, 1000, 10**6])
 @pytest.mark.parametrize("n", range(1, 13))
 def test_termination(z, n):
     assert termination_ratio(AtomSpec(z, n)) <= 1e-14

@@ -1,11 +1,13 @@
 """Independent oracle machinery: residuals, shooting, route agreement."""
 
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
+from vwave import verify
 from vwave.nodes import NodeKind, find_nodes
 from vwave.series import build_series, interior_zeros, termination_ratio, u_plus
 from vwave.units import AtomSpec, derive_state
@@ -131,9 +133,13 @@ def test_pde_residual_free_wave():
     assert 1.7 <= rep.order_estimate <= 2.3
 
 
-def test_pde_residual_detects_wrong_speed():
+def test_pde_residual_detects_wrong_speed(monkeypatch):
+    # a wave_value that travels at 1.1*v does not solve the wave equation of speed v
+    true_wave = verify.wave_value
+    monkeypatch.setattr(verify, "wave_value",
+                        lambda x, t, p: true_wave(x, t, dataclasses.replace(p, v=1.1 * p.v)))
     grid = SpaceTimeGrid(x_lo=0.0, x_hi=3.0, t_lo=0.0, t_hi=2.0, dx=1e-3, dt=7e-4)
-    rep = pde_residual_free(1.0, grid, operator_speed=1.1)
+    rep = pde_residual_free(1.0, grid)
     assert rep.max_rel_residual > 1e-3
 
 
@@ -324,3 +330,10 @@ def test_run_suite_passes():
     names = {c["name"] for c in report["checks"]}
     assert "energy_route_agreement" in names
     assert "shooting_vs_wronskian_n3" in names
+
+
+@pytest.mark.parametrize("z", [392, 1000, 10**6])
+def test_run_suite_passes_at_large_z(z):
+    # series_termination is relative to beta1 = 2Z, so it does not grow with Z
+    report = run_suite(z, 3)
+    assert report["passed"], [c for c in report["checks"] if not c["passed"]]
