@@ -2,7 +2,7 @@
 
 Derives bound-state parameters, builds the terminating radial series and its
 Wronskian-constructed decaying partner, classifies wave nodes, and verifies
-everything through independent numerical routes.
+everything numerically.
 
 Each public name loads its defining module on first use (PEP 562), so
 ``import vwave`` loads no numpy and a caller pays only for what it touches.
@@ -35,7 +35,6 @@ _EXPORTS = {
     "NodeReport": "nodes",
     "find_nodes": "nodes",
     "track_superposition_nodes": "nodes",
-    "energy_closed_form": "verify",
     "ode_residual": "verify",
     "pde_residual_free": "verify",
     "shoot_inward": "verify",

@@ -260,7 +260,9 @@ def cmd_superpose(opts: dict) -> tuple[dict, list, list]:
     tracked = nodes.track_superposition_nodes(waves, weights, times, track_grid)
     payload = {
         "atom_z": opts["z"],
-        "common_r_max": track_grid.r_max,
+        # the shared span's end: the grid's last point falls short of it where
+        # that end lies in another state's gap (--states 1,2 --r-max 4)
+        "common_r_max": min(float(w.grid.samples[-1]) for w in waves),
         "slices": [
             {"degenerate": sl.degenerate, "radii": list(sl.radii), "t": sl.t}
             for sl in tracked.slices

@@ -170,7 +170,7 @@ def common_tracking_grid(waves: list[BoundWave], samples: int = 1000) -> RadialG
     keep = np.ones(len(raw), dtype=bool)
     for zlo, zhi in zones:
         keep &= ~((raw > zlo) & (raw < zhi))
-    return RadialGrid(samples=raw[keep], exclusion_zones=zones, r_max=hi)
+    return RadialGrid(samples=raw[keep], exclusion_zones=zones)
 
 
 def track_superposition_nodes(

@@ -11,8 +11,9 @@ so P is evaluated in product form, a_n*s*prod_j (s - s_j), over the zeros s_j
 of L^{(1)}_{n-1}(2*k_o*s): the nodes of its Gauss rule, divided by 2*k_o.
 The alternating monomial sum loses digits as n grows; the product keeps them,
 and vanishes exactly at the zeros it is built from.  termination_ratio checks
-the termination condition beta1 = 2*k_o*n on the state; scanning it over E
-finds the eigenvalues independently of the closed form.
+the termination condition beta1 = 2*k_o*n on the state; quantization_scan
+bisects the same condition over trial energies, which solves the closed form
+E_n = -Z^2/(2 n^2) numerically rather than checking it independently.
 
 One helper, gauss, builds every Gauss rule vwave uses from its Jacobi matrix
 (Golub and Welsch, Math. Comp. 23, 1969): these zeros, and the Gauss-Legendre
@@ -140,8 +141,10 @@ def quantization_scan(z: int, e_lo: float, e_hi: float) -> list[tuple[int, float
     """Find all bound energies in (e_lo, e_hi) by root-scanning the termination condition.
 
     For each integer n strictly inside the range of beta1/(2*k_o), bisect on
-    beta1(E)/(2*k_o(E)) - n to 1e-10 relative.  This is the route independent
-    of the closed-form spectrum.
+    beta1(E)/(2*k_o(E)) - n to 1e-10 relative.  With beta1 = 2Z that is
+    Z/sqrt(-2E) = n, the closed-form spectrum solved by bisection: the scan
+    shares the termination condition with derive_state rather than checking
+    it independently.
     """
     if not (e_lo < e_hi < 0.0):
         raise ValueError("need e_lo < e_hi < 0")

@@ -30,7 +30,7 @@ class StateParams:
     """All scalar parameters of a spherically symmetric bound state.
 
     energy is in hartree (negative), r_o in bohr.  omega uses |E|, so
-    omega = 2|E|; only omega**2 is ever consumed downstream.
+    omega = 2|E|.
     """
 
     energy: float

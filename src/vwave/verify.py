@@ -1,9 +1,11 @@
-"""Independent verification machinery.
+"""Verification machinery for the solver.
 
-Everything here checks the solver through a route that does not share code
-with the construction being checked: finite-difference residuals of the
-library's own waves, inward Taylor-series integration of the radial ODE, the
-closed-form spectrum and the termination condition read from the state.
+Finite-difference residuals of the library's own waves and an inward
+Taylor-series integration of the radial ODE check the construction from
+outside it.  Two battery checks share code with what they check:
+energy_route_agreement compares derive_state's closed-form energy with a scan
+of the same termination condition, and trajectory_surface_n{n} reads the
+surface that find_nodes reports.
 """
 
 from __future__ import annotations
@@ -107,8 +109,7 @@ def make_residual_grid(state: StateParams, zero_loci: list[float]) -> RadialGrid
             f"and the zero loci cover [{zones[0][0]}, {zones[0][1]}]")
     samples = [np.linspace(a, b, max(50, int(round((b - a) / r_o * 4000))))
                for a, b in segments]
-    return RadialGrid(samples=np.concatenate(samples), exclusion_zones=tuple(zones),
-                      r_max=r_hi)
+    return RadialGrid(samples=np.concatenate(samples), exclusion_zones=tuple(zones))
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,10 @@ def pde_residual_free(v: float, grid: SpaceTimeGrid) -> ResidualReport:
 
     The convergence order is estimated against a 2x-coarsened grid: halving
     the spacings instead would push the second differences toward their
-    rounding floor.
+    rounding floor.  That floor, relative to the scale's omega^2*A, is about
+    4*eps*(1/dt^2 + v^2/dx^2)/omega^2; where the residual is within twice it,
+    the order is NaN.  On dx = 1e-3, dt = 7e-4 it is 1.0e-7 at v = 0.37, whose
+    residual of 3.7e-8 is rounding, not truncation.
     """
     p = free_params(v)
 
@@ -145,7 +149,8 @@ def pde_residual_free(v: float, grid: SpaceTimeGrid) -> ResidualReport:
 
     base = residual(grid.dx, grid.dt)
     coarse = residual(2 * grid.dx, 2 * grid.dt)
-    order = math.log2(coarse / base) if base > 0 and coarse > 0 else float("nan")
+    floor = 4.0 * sys.float_info.epsilon * (1.0 / grid.dt**2 + v**2 / grid.dx**2) / p.omega**2
+    order = math.log2(coarse / base) if base > 2.0 * floor and coarse > 0 else float("nan")
     return ResidualReport(max_rel_residual=base, order_estimate=order)
 
 
@@ -200,7 +205,7 @@ class ShootingProfile:
     """Inward-integrated decaying solution on [r_stop, r_start].
 
     ``r`` holds the step nodes in increasing order, ``u`` and ``du`` the
-    solution and its slope there; ``k_o`` and ``r_pole`` fix the ODE.
+    solution and its slope there.
     ``coeffs[k]`` holds the scaled Taylor coefficients of the step from r[k]
     inward to r[k - 1]; no step leaves r_stop, so ``coeffs[0]`` is u[0] alone.
     """
@@ -209,8 +214,6 @@ class ShootingProfile:
     u: np.ndarray
     du: np.ndarray
     coeffs: np.ndarray
-    k_o: float
-    r_pole: float
 
     def evaluate(self, r) -> np.ndarray:
         """u at radii in [r_stop, r_start], from the step of the nearest node at or right.
@@ -232,31 +235,27 @@ class ShootingProfile:
         return out.reshape(r.shape)
 
 
-def shoot_inward(energy: float, z: int, r_start: float, r_stop: float) -> ShootingProfile:
-    """Integrate the radial ODE inward from the exponential asymptote.
+def shoot_inward(state: StateParams, r_start: float, r_stop: float) -> ShootingProfile:
+    """Integrate the bound state's radial ODE inward from the exponential asymptote.
 
-    Starts at (u, u') = (exp(-k_o*r_start), -k_o*exp(-k_o*r_start)); inward
-    integration keeps the growing branch suppressed.  Each step from r is a
-    30-term Taylor series of length min(1/k_o, (r - r_o)/4), so the steps stay
-    strictly right of the coefficient pole at r_o(E) and the last one lands on
-    r_stop.  All step matrices come from one array pass and are chained as
-    2x2 products; each step's coefficients are kept for ``evaluate``.  Started
-    at 8*r_o and compared with Whittaker's W on [1.2, 3]*r_o (Z = 1, 4;
-    n = 1..6), the relative error is 6.2e-12 at n = 1, where it is the growing
-    branch that the pure-exponential start admits (5e-16 from 12*r_o), and at
-    most 3.7e-15 for n = 2..6.
+    Reads k_o and the coefficient's pole alpha/beta0^2 from ``state``: the
+    pole _coefficient uses, which r_o can miss in the last bit.  Starts at
+    (u, u') = (exp(-k_o*r_start), -k_o*exp(-k_o*r_start)); inward integration
+    keeps the growing branch suppressed.  Each step from r is a 30-term Taylor
+    series of length min(1/k_o, (r - r_o)/4), so the steps stay strictly right
+    of the pole and the last one lands on r_stop.  All step matrices come from
+    one array pass and are chained as 2x2 products; each step's coefficients
+    are kept for ``evaluate``.  Started at 8*r_o and compared with Whittaker's
+    W on [1.2, 3]*r_o (Z = 1, 4; n = 1..6), the relative error is 6.2e-12 at
+    n = 1, where it is the growing branch that the pure-exponential start
+    admits (5e-16 from 12*r_o), and at most 3.7e-15 for n = 2..6.
     """
-    if not all(math.isfinite(x) for x in (energy, r_start, r_stop)):
-        raise ValueError(
-            f"energy, r_start and r_stop must be finite, got {energy}, {r_start}, {r_stop}")
-    if energy >= 0.0:
-        raise ValueError("energy must be negative")
-    k_o = math.sqrt(-2.0 * energy)
-    alpha = 2.0 * z
-    beta0_sq = -2.0 * energy
-    r_pole = alpha / beta0_sq
+    if not (math.isfinite(r_start) and math.isfinite(r_stop)):
+        raise ValueError(f"r_start and r_stop must be finite, got {r_start}, {r_stop}")
+    k_o = state.k_o
+    r_pole = state.alpha / state.beta0_sq
     if r_start < 3.0 * r_pole:
-        raise ValueError(f"r_start must be >= 3*r_o(E) = {3.0 * r_pole}")
+        raise ValueError(f"r_start must be >= 3*r_o = {3.0 * r_pole}")
     if r_stop <= r_pole:
         raise ValueError(f"r_stop must stay right of the pole at {r_pole}")
     if r_stop >= r_start:
@@ -286,12 +285,7 @@ def shoot_inward(energy: float, z: int, r_start: float, r_stop: float) -> Shooti
     last = np.zeros((1, _TAYLOR_TERMS))
     last[0, 0] = us[-1]
     return ShootingProfile(r=nodes[::-1].copy(), u=us[::-1].copy(), du=dus[::-1].copy(),
-                           coeffs=np.concatenate([last, steps[::-1]]), k_o=k_o, r_pole=r_pole)
-
-
-def energy_closed_form(atom: AtomSpec) -> float:
-    """Closed-form spectrum E_n = -Z^2 / (2 n^2) hartree."""
-    return -(atom.z**2) / (2.0 * atom.n**2)
+                           coeffs=np.concatenate([last, steps[::-1]]))
 
 
 def shooting_deviation(sol, wave) -> float:
@@ -304,7 +298,7 @@ def shooting_deviation(sol, wave) -> float:
     """
     st = sol.state
     r_o = st.r_o
-    prof = shoot_inward(st.energy, sol.atom.z, 8.0 * r_o, 1.2 * r_o * 0.99)
+    prof = shoot_inward(st, 8.0 * r_o, 1.2 * r_o * 0.99)
     mask = (wave.grid.samples >= 1.2 * r_o) & (wave.grid.samples <= 3.0 * r_o)
     rs = wave.grid.samples[mask]
     shot = prof.evaluate(rs)
@@ -395,18 +389,17 @@ def u_minus_crossings(report: NodeReport) -> list[float]:
 
 
 def route_agreement(z: int, n_max: int) -> float:
-    """Max pairwise relative spread between the three energy routes."""
-    e_lo = 1.25 * energy_closed_form(AtomSpec(z, 1))
-    e_hi = 0.5 * energy_closed_form(AtomSpec(z, n_max + 1))
+    """Max relative distance |scan - E|/|E| of the termination scan from derive_state's E.
+
+    Both read the termination condition beta1 = 2*k_o*n, so this is no
+    independent energy route: it measures the scan's bisection tolerance, and
+    reads 3.18e-11 at Z = 1, n_max = 3.
+    """
+    e_lo = 1.25 * derive_state(AtomSpec(z, 1)).energy
+    e_hi = 0.5 * derive_state(AtomSpec(z, n_max + 1)).energy
     scan = dict(quantization_scan(z, e_lo, e_hi))
     worst = 0.0
     for n in range(1, n_max + 1):
-        atom = AtomSpec(z, n)
-        routes = [
-            energy_closed_form(atom),
-            derive_state(atom).energy,
-            scan[n],
-        ]
-        spread = (max(routes) - min(routes)) / abs(routes[0])
-        worst = max(worst, spread)
+        energy = derive_state(AtomSpec(z, n)).energy
+        worst = max(worst, abs(scan[n] - energy) / abs(energy))
     return worst

@@ -56,7 +56,6 @@ class RadialGrid:
 
     samples: np.ndarray
     exclusion_zones: tuple[tuple[float, float], ...]
-    r_max: float
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
@@ -104,7 +103,7 @@ def make_radial_grid(
                          f" than two on a side of r_o's neighborhood; use at least {need} samples")
     raw = np.linspace(r_max / samples, r_max, samples)
     r = np.where(left, np.minimum(raw, lo), np.maximum(raw, hi))[left | right]
-    return RadialGrid(samples=r, exclusion_zones=((lo, hi),), r_max=r_max)
+    return RadialGrid(samples=r, exclusion_zones=((lo, hi),))
 
 
 # Gauss-Legendre points per panel

@@ -11,7 +11,7 @@ PUBLIC = {
     "AtomSpec": "units", "BoundWave": "wronskian", "FreeParams": "free_motion",
     "NodeKind": "nodes", "NodeReport": "nodes", "RadialGrid": "wronskian",
     "SeriesSolution": "series", "StateParams": "units", "bohr_ratio": "units",
-    "build_series": "series", "derive_state": "units", "energy_closed_form": "verify",
+    "build_series": "series", "derive_state": "units",
     "find_nodes": "nodes", "free_params": "free_motion", "interior_zeros": "series",
     "make_radial_grid": "wronskian", "node_trajectory": "free_motion",
     "ode_residual": "verify", "pde_residual_free": "verify",
@@ -51,7 +51,8 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_removed_names_not_exported():
-    for name in ("Constants", "constants", "classify_locus", "wave_full"):
+    for name in ("Constants", "constants", "classify_locus", "wave_full",
+                 "energy_closed_form"):
         assert name not in vwave.__all__
         assert not hasattr(vwave, name)
 

@@ -353,6 +353,29 @@ def test_superpose_golden_outputs(capsys, argv, golden):
         np.testing.assert_allclose(radii(got), radii(want), rtol=1e-12, atol=0.0, err_msg=name)
 
 
+def test_verify_golden_output(capsys):
+    # names, thresholds, verdicts and the two closed-form values must match
+    # exactly; the residuals pass through exp and eigh, so they match within
+    # 1e-9 relative, and shooting_vs_wronskian sits at rounding (about 3e-15)
+    # from n = 2 on, so it matches within 1e-13
+    code, out = run_cli(capsys, "verify", "--z", "7")
+    assert code == 0
+    got = json.loads(out)
+    want = json.loads((Path(__file__).parent / "golden" / "verify_z7.json").read_text(
+        encoding="utf-8"))
+    assert {k: v for k, v in got.items() if k != "checks"} == {
+        k: v for k, v in want.items() if k != "checks"}
+    assert [(c["name"], c["threshold"], c["passed"]) for c in got["checks"]] == [
+        (c["name"], c["threshold"], c["passed"]) for c in want["checks"]]
+    for g, w in zip(got["checks"], want["checks"]):
+        if "residual" in w["name"]:
+            assert g["value"] == pytest.approx(w["value"], rel=1e-9, abs=0.0), w["name"]
+        elif w["name"].startswith("shooting_vs_wronskian"):
+            assert g["value"] == pytest.approx(w["value"], rel=0.0, abs=1e-13), w["name"]
+        else:
+            assert g["value"] == w["value"], w["name"]
+
+
 def test_read_config_types(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("samples = 500\nr-max = 2.5\n")

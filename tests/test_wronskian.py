@@ -363,15 +363,11 @@ def test_array_call_matches_one_point_calls_across_blocks(solutions):
 
 def test_radial_grid_validation():
     with pytest.raises(ValueError):
-        RadialGrid(samples=np.array([1.0]), exclusion_zones=(), r_max=2.0)
+        RadialGrid(samples=np.array([1.0]), exclusion_zones=())
     with pytest.raises(ValueError):
-        RadialGrid(samples=np.array([2.0, 1.0]), exclusion_zones=(), r_max=2.0)
+        RadialGrid(samples=np.array([2.0, 1.0]), exclusion_zones=())
     with pytest.raises(ValueError):
-        RadialGrid(
-            samples=np.array([0.5, 1.0, 1.5]),
-            exclusion_zones=((0.9, 1.1),),
-            r_max=2.0,
-        )
+        RadialGrid(samples=np.array([0.5, 1.0, 1.5]), exclusion_zones=((0.9, 1.1),))
 
 
 def test_make_radial_grid_respects_zones():
