@@ -94,7 +94,7 @@ def test_criterion_03_series_termination():
 def test_criterion_04_ode_residuals(solutions, waves):
     t0 = time.perf_counter()
     worst_plus = worst_minus = 0.0
-    orders = []
+    reports = []
     for n in (1, 2, 3):
         sol = solutions[n]
         loci = interior_zeros(sol) + u_minus_crossings(find_nodes(waves[n]))
@@ -103,13 +103,22 @@ def test_criterion_04_ode_residuals(solutions, waves):
         rep_m = ode_residual(u_minus(grid.samples, sol), sol.state, grid)
         worst_plus = max(worst_plus, rep_p.max_rel_residual)
         worst_minus = max(worst_minus, rep_m.max_rel_residual)
-        orders += [rep_p.order_estimate, rep_m.order_estimate]
+        reports += [rep_p, rep_m]
     elapsed = time.perf_counter() - t0
-    order_ok = all(1.7 <= o <= 2.3 for o in orders)
+    orders = [rep.order_estimate for rep in reports]
+    # a NaN order marks a residual at the stencil's rounding floor, about 2e-10
+    # on this grid; every u_- residual (the odd entries) is truncation
+    order_ok = all(
+        3.7 <= rep.order_estimate <= 4.3
+        or (math.isnan(rep.order_estimate) and rep.max_rel_residual < 1e-9)
+        for rep in reports
+    ) and not any(math.isnan(o) for o in orders[1::2])
     ok = worst_plus < 1e-6 and worst_minus < 1e-4 and order_ok and elapsed < 10.0
-    _report(4, "ODE residuals (u+ < 1e-6, u- < 1e-4, ~2nd order)", ok,
+    finite = [o for o in orders if not math.isnan(o)]
+    _report(4, "ODE residuals (u+ < 1e-6, u- < 1e-4, ~4th order)", ok,
             f"u+ {worst_plus:.2e}, u- {worst_minus:.2e}, "
-            f"orders {min(orders):.2f}..{max(orders):.2f}, {elapsed:.1f}s")
+            f"orders {min(finite):.2f}..{max(finite):.2f}, "
+            f"{len(orders) - len(finite)} at the rounding floor, {elapsed:.1f}s")
 
 
 def test_criterion_05_exponential_tail(waves):

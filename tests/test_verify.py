@@ -33,23 +33,62 @@ def _grid_for(sol, wave):
     )
 
 
-def test_u_plus_residual_small_and_second_order(solutions, waves):
-    sol = solutions[1]
-    grid = _grid_for(sol, waves[1])
+def test_u_plus_residual_small_and_fourth_order(solutions, waves):
+    sol = solutions[3]
+    grid = _grid_for(sol, waves[3])
     rep = ode_residual(u_plus(grid.samples, sol), sol.state, grid)
     assert rep.max_rel_residual < 1e-6
-    assert 1.7 <= rep.order_estimate <= 2.3
+    assert 3.7 <= rep.order_estimate <= 4.3
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
-def test_u_plus_residual_is_second_order_truncation_above_suite_n_max(n):
-    # above SUITE_N_MAX the u_+ residual exceeds 1e-6 because the stencil's
-    # own truncation error grows with n, not because u_+ is wrong
+def test_u_plus_residual_is_fourth_order_above_suite_n_max(n):
+    # above SUITE_N_MAX the u_+ residual is Numerov's own truncation, and stays
+    # under the battery's 1e-6
     sol = build_series(AtomSpec(1, n))
     wave = sample_wave(sol, make_radial_grid(sol))
     grid = _grid_for(sol, wave)
     rep = ode_residual(u_plus(grid.samples, sol), sol.state, grid)
-    assert 1.7 <= rep.order_estimate <= 2.3
+    assert rep.max_rel_residual < 1e-6
+    assert 3.7 <= rep.order_estimate <= 4.3
+
+
+@pytest.mark.parametrize("branch,n", [
+    ("u_plus", 1), ("u_minus", 1), ("u_minus", 2), ("u_minus", 3),
+])
+def test_ode_residual_order_is_nan_at_the_rounding_floor(solutions, waves, branch, n):
+    # u_+ at n = 1 sits at the stencil's rounding floor, where halving the
+    # density does not grow the residual by 2^4; u_- is truncation throughout
+    sol = solutions[n]
+    grid = _grid_for(sol, waves[n])
+    if branch == "u_plus":
+        assert math.isnan(ode_residual(u_plus(grid.samples, sol), sol.state, grid).order_estimate)
+    else:
+        rep = ode_residual(u_minus(grid.samples, sol), sol.state, grid)
+        assert 3.7 <= rep.order_estimate <= 4.3
+
+
+# (branch, n, lambda, eps): the smallest decade of eps at which the 3-point
+# stencil on 4000 points per r_o flagged u*(1 + eps*sin(2*pi*r/(lambda*r_o)))
+_PERTURBATIONS = [
+    ("u_plus", 1, 0.1, 1e-8), ("u_plus", 1, 0.02, 1e-10),
+    ("u_plus", 2, 0.1, 1e-8), ("u_plus", 2, 0.02, 1e-9),
+    ("u_plus", 3, 0.1, 1e-7), ("u_plus", 3, 0.02, 1e-9),
+    ("u_minus", 1, 0.1, 1e-6), ("u_minus", 1, 0.02, 1e-8),
+    ("u_minus", 2, 0.1, 1e-6), ("u_minus", 2, 0.02, 1e-7),
+    ("u_minus", 3, 0.1, 1e-6), ("u_minus", 3, 0.02, 1e-7),
+]
+
+
+@pytest.mark.parametrize("branch,n,lam,eps", _PERTURBATIONS)
+def test_residual_flags_what_the_three_point_stencil_flagged(solutions, waves, branch, n, lam,
+                                                             eps):
+    sol = solutions[n]
+    grid = _grid_for(sol, waves[n])
+    u, threshold = (u_plus, 1e-6) if branch == "u_plus" else (u_minus, 1e-4)
+    ripple = 1.0 + eps * np.sin(2.0 * np.pi * grid.samples / (lam * sol.state.r_o))
+    rep = ode_residual(u(grid.samples, sol) * ripple, sol.state, grid)
+    assert rep.max_rel_residual > threshold
 
 
 def test_perturbed_solution_detected(solutions, waves):
@@ -96,7 +135,7 @@ def _unique_grid(state, zero_loci):
         else:
             merged.append([lo, hi])
     edges = [0.05 * r_o] + [x for zone in merged for x in zone] + [3.0 * r_o]
-    samples = [np.linspace(a, b, max(50, int(round((b - a) / r_o * 4000))))
+    samples = [np.linspace(a, b, max(50, int(round((b - a) / r_o * 1000))))
                for a, b in zip(edges[::2], edges[1::2])]
     return np.unique(np.concatenate(samples)), tuple(map(tuple, merged))
 
