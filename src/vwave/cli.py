@@ -190,10 +190,6 @@ def _build_wave(opts: dict, n: int | None = None):
     from .series import build_series
     from .wronskian import make_radial_grid, sample_wave
 
-    if opts["samples"] < 200:
-        raise ValueError("need at least 200 samples for wave/nodes/figures output")
-    if opts["r_max"] < 1.5:
-        raise ValueError("r-max must be at least 1.5 (units of r_o)")
     atom = AtomSpec(opts["z"], opts["n"] if n is None else n)
     sol = build_series(atom)
     grid = make_radial_grid(sol, r_max_factor=opts["r_max"], samples=opts["samples"])
@@ -247,8 +243,6 @@ def cmd_superpose(opts: dict) -> tuple[dict, list, list]:
     from . import nodes
 
     weights = opts["weights"] or [1.0] * len(opts["states"])
-    if len(weights) != len(opts["states"]):
-        raise ValueError(f"{len(weights)} weights given for {len(opts['states'])} states")
     waves = [_build_wave(opts, n=n) for n in opts["states"]]
     t_max = opts["t_max"]
     if t_max is None:
@@ -260,9 +254,7 @@ def cmd_superpose(opts: dict) -> tuple[dict, list, list]:
     tracked = nodes.track_superposition_nodes(waves, weights, times, track_grid)
     payload = {
         "atom_z": opts["z"],
-        # the shared span's end: the grid's last point falls short of it where
-        # that end lies in another state's gap (--states 1,2 --r-max 4)
-        "common_r_max": min(float(w.grid.samples[-1]) for w in waves),
+        "common_r_max": float(track_grid.samples[-1]),
         "slices": [
             {"degenerate": sl.degenerate, "radii": list(sl.radii), "t": sl.t}
             for sl in tracked.slices

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .series import build_series, interior_zeros, u_plus_prime
-from .wronskian import BoundWave, RadialGrid, superpose, u_minus_and_slope
+from .wronskian import BoundWave, RadialGrid, _check_superposition, superpose, u_minus_and_slope
 
 
 class NodeKind(str, Enum):
@@ -95,7 +95,8 @@ def find_nodes(wave: BoundWave) -> NodeReport:
     (else ValueError).  All are refined at once by Newton steps on the
     exact u_- and u_-', bisecting where a step leaves its bracket, until every
     step is at most 1e-9*r_o.  Zeros outside the sampled span are not
-    reported.  A node's values are R at the samples that bound it, L_-/r_o
+    reported; within it the sample count changes no radius or kind, only
+    the values.  A node's values are R at the samples that bound it, L_-/r_o
     for a next sample past r_o; a bounding sample where R is exactly 0 is the
     node, between its neighbours.  Both slope signs are that of the exact
     dR/dr = u_-'/r at the zero: the samples' slopes near r_o carry its
@@ -107,8 +108,6 @@ def find_nodes(wave: BoundWave) -> NodeReport:
     with sign -sign(L_-+).  The limits have opposite signs, so r_o is a
     trajectory surface, the only discontinuous node.
     """
-    if len(wave.grid.samples) < 200:
-        raise ValueError("wave must be sampled on at least 200 points")
     r, v = wave.grid.samples, wave.r_vals
     r_o = wave.state.r_o
     vl, vr = wave.left_limit_at_ro / r_o, wave.right_limit_at_ro / r_o
@@ -187,7 +186,8 @@ def track_superposition_nodes(
     reported degenerate and contributes no nodes.  Weights that are all zero
     are refused, and so is a repeated state: distinct states are linearly
     independent, so only these two can make the superposition vanish.  Weights
-    and times that are not finite are refused.
+    and times that are not finite are refused, as are inputs that superpose
+    refuses.
 
     The superposed values of all slices form one (time, radius) array, and
     one test over it finds every bracket: a sample where the wave is exactly
@@ -195,18 +195,15 @@ def track_superposition_nodes(
     (reported at its center), and any other sign change (bisected on
     superpose, which reads each wave's R from BoundWave.r_of).
     """
+    _check_superposition(waves, weights)
     if len(times) < 2:
         raise ValueError("need at least 2 time samples")
-    if not waves or len(waves) != len(weights):
-        raise ValueError("need equally many waves and weights, at least one each")
     for name, xs in (("weights", weights), ("times", times)):
         bad = next((x for x in xs if not math.isfinite(x)), None)
         if bad is not None:
             raise ValueError(f"{name} must be finite, got {bad}")
     if not any(weights):
         raise ValueError("weights are all zero: the superposition vanishes everywhere")
-    if len({w.atom.z for w in waves}) > 1:
-        raise ValueError("waves mix nuclear charges")
     ns = [w.atom.n for w in waves]
     repeat = next((n for i, n in enumerate(ns) if n in ns[:i]), None)
     if repeat is not None:

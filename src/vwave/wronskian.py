@@ -475,13 +475,20 @@ def sample_wave(sol: SeriesSolution, grid: RadialGrid) -> BoundWave:
                      r_vals=rv, r_slopes=rs, left_limit_at_ro=left, right_limit_at_ro=right)
 
 
+def _check_superposition(waves: list[BoundWave], weights: list[float]) -> None:
+    """ValueError unless there is at least one wave, one weight per wave and one nucleus."""
+    if not waves:
+        raise ValueError("need at least one wave")
+    if len(weights) != len(waves):
+        raise ValueError(f"{len(weights)} weights given for {len(waves)} states")
+    zs = sorted({w.atom.z for w in waves})
+    if len(zs) > 1:
+        raise ValueError(f"waves mix nuclear charges {zs}")
+
+
 def superpose(waves: list[BoundWave], weights: list[float], r: float, t: float) -> float:
     """V(r, t) = sum_i c_i * R_i(r) * cos(omega_i * t) of waves sharing one nucleus."""
-    if not waves or len(waves) != len(weights):
-        raise ValueError("need equally many waves and weights, at least one each")
-    zs = {w.atom.z for w in waves}
-    if len(zs) > 1:
-        raise ValueError(f"waves mix nuclear charges {sorted(zs)}")
+    _check_superposition(waves, weights)
     return sum(c * w.r_of(r) * math.cos(w.state.omega * t) for c, w in zip(weights, waves))
 
 

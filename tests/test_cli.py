@@ -385,10 +385,48 @@ def test_read_config_types(tmp_path):
 
 
 def test_invalid_grid_options_exit_2(capsys):
-    code, _ = run_cli(capsys, "wave", "--z", "1", "--n", "1", "--samples", "100")
-    assert code == 2
-    code, _ = run_cli(capsys, "wave", "--z", "1", "--n", "1", "--r-max", "1.2")
-    assert code == 2
+    # make_radial_grid's refusal is the one sampling limit, and it names it
+    for flags, message in ((["--samples", "6"], "use at least 7 samples"),
+                           (["--r-max", "1.0005"], "r_max_factor must exceed 1 + EXCLUSION")):
+        code = main(["wave", "--z", "1", "--n", "1", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--samples", "100"], ["--r-max", "1.2"]])
+def test_sparse_or_short_grids_are_accepted(capsys, flags):
+    code, out = run_cli(capsys, "wave", "--z", "1", "--n", "1", *flags)
+    assert code == 0
+    _validator("wave").validate(json.loads(out))
+    # node radii and kinds come from the state: the default grid gives the
+    # same; for n = 3 every node lies within the shorter span
+    code, out = run_cli(capsys, "nodes", "--z", "1", "--n", "3", *flags)
+    assert code == 0
+    _validator("nodes").validate(json.loads(out))
+    _, default = run_cli(capsys, "nodes", "--z", "1", "--n", "3")
+    got, want = ([(nd["radius_bohr"], nd["kind"]) for nd in json.loads(text)["nodes"]]
+                 for text in (out, default))
+    assert len(got) == 3
+    assert got == want
+
+
+def test_common_r_max_is_the_last_tracked_radius(capsys):
+    # the shared span ends at 8, inside the n = 2 state's gap (7.968, 8.032):
+    # tracking stops at the last grid point before that gap
+    from vwave import AtomSpec, build_series
+    from vwave.nodes import common_tracking_grid
+    from vwave.wronskian import make_radial_grid, sample_wave
+
+    code, out = run_cli(capsys, "superpose", "--states", "1,2", "--r-max", "4")
+    assert code == 0
+    payload = json.loads(out)
+    sols = [build_series(AtomSpec(1, n)) for n in (1, 2)]
+    grid = common_tracking_grid([sample_wave(s, make_radial_grid(s, 4.0)) for s in sols])
+    assert payload["common_r_max"] == float(grid.samples[-1])
+    assert payload["common_r_max"] < 7.968
+    assert all(r <= payload["common_r_max"] for sl in payload["slices"] for r in sl["radii"])
 
 
 def test_all_zero_weights_exit_2(capsys):

@@ -13,7 +13,7 @@ from vwave.nodes import (
 )
 from vwave.series import build_series
 from vwave.units import AtomSpec, derive_state
-from vwave.wronskian import make_radial_grid, sample_wave, u_minus
+from vwave.wronskian import make_radial_grid, sample_wave, superpose, u_minus
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -160,14 +160,35 @@ def test_detection_invariant_under_rescaling(waves):
     assert [nd.kind for nd in a.nodes] == [nd.kind for nd in b.nodes]
 
 
-def test_too_few_samples_rejected(solutions):
-    from vwave.wronskian import sample_wave, make_radial_grid
+@pytest.mark.parametrize("z,n", [(1, 3), (2, 5), (1, 12)])
+def test_node_radii_do_not_depend_on_the_sample_count(z, n):
+    # the brackets come from the state and are refined on the exact u_-, so
+    # the samples set only each node's values
+    sol = build_series(AtomSpec(z, n))
+    reports = [find_nodes(sample_wave(sol, make_radial_grid(sol, samples=s)))
+               for s in (60, 150, 1000)]
+    want = [(nd.radius, nd.kind) for nd in reports[-1].nodes]
+    assert len(want) == n  # n - 1 plain zeros and the surface at r_o
+    for report in reports[:-1]:
+        assert [(nd.radius, nd.kind) for nd in report.nodes] == want
 
-    sol = solutions[1]
-    grid = make_radial_grid(sol, samples=150)
-    wave = sample_wave(sol, grid)
-    with pytest.raises(ValueError):
-        find_nodes(wave)
+
+@pytest.mark.parametrize("call", ["superpose", "track_superposition_nodes"])
+@pytest.mark.parametrize("case", ["no_waves", "weight_count", "mixed_charges"])
+def test_superposition_inputs_are_checked_in_one_place(waves, call, case):
+    sol_he = build_series(AtomSpec(2, 1))
+    wave_he = sample_wave(sol_he, make_radial_grid(sol_he))
+    given, message = {
+        "no_waves": (([], []), "need at least one wave"),
+        "weight_count": (([waves[1]], [1.0, 2.0]), "2 weights given for 1 states"),
+        "mixed_charges": (([waves[1], wave_he], [1.0, 1.0]),
+                          r"waves mix nuclear charges \[1, 2\]"),
+    }[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        if call == "superpose":
+            superpose(*given, 1.0, 0.0)
+        else:
+            track_superposition_nodes(*given, [0.0, 1.0], waves[1].grid)
 
 
 def test_single_state_nodes_time_invariant(waves, solutions):
@@ -254,10 +275,6 @@ def test_tracking_sign_change_across_the_ro_gap_is_its_centre(waves):
 def test_track_validation(waves):
     with pytest.raises(ValueError):
         track_superposition_nodes([waves[1]], [1.0], [0.0], waves[1].grid)
-    with pytest.raises(ValueError):
-        track_superposition_nodes([], [], [0.0, 1.0], waves[1].grid)
-    with pytest.raises(ValueError):
-        track_superposition_nodes([waves[1]], [1.0, 2.0], [0.0, 1.0], waves[1].grid)
     with pytest.raises(ValueError, match="all zero"):
         track_superposition_nodes([waves[1], waves[2]], [0.0, 0.0], [0.0, 1.0], waves[1].grid)
     # a weight or time that is not finite is refused, not tracked into empty slices
