@@ -17,7 +17,8 @@ from enum import Enum
 import numpy as np
 
 from .series import build_series, interior_zeros, u_plus_prime
-from .wronskian import BoundWave, RadialGrid, _check_superposition, superpose, u_minus_and_slope
+from .wronskian import (BoundWave, RadialGrid, _check_superposition, superpose, u_minus,
+                        u_minus_and_slope)
 
 
 class NodeKind(str, Enum):
@@ -98,8 +99,10 @@ def find_nodes(wave: BoundWave) -> NodeReport:
     reported; within it the sample count changes no radius or kind, only
     the values.  A node's values are R at the samples that bound it, L_-/r_o
     for a next sample past r_o; a bounding sample where R is exactly 0 is the
-    node, between its neighbours.  Both slope signs are that of the exact
-    dR/dr = u_-'/r at the zero: the samples' slopes near r_o carry its
+    node, between its neighbours.  Where neighbouring zeros fall between the
+    same two samples, the side between them is the exact R at their midpoint,
+    from one u_- call over those midpoints.  Both slope signs are that of the
+    exact dR/dr = u_-'/r at the zero: the samples' slopes near r_o carry its
     logarithmic divergence.  u_- cannot vanish with its slope: no touches.
 
     If the samples straddle r_o, it is a node with the limits L_-+/r_o as
@@ -124,6 +127,10 @@ def find_nodes(wave: BoundWave) -> NodeReport:
     at = v[m] == 0.0
     left, right = np.clip([np.where(at, m - 1, k - 1), np.where(at, m + 1, k)], 0, len(r) - 1)
     rows = np.c_[np.where(at, r[m], x[seen]), v[left], np.where(r[right] > r_o, vl, v[right])]
+    shared = np.flatnonzero(k[1:] == k[:-1])  # neighbouring zeros between the same two samples
+    if len(shared):
+        mid = 0.5 * (rows[shared, 0] + rows[shared + 1, 0])
+        rows[shared, 2] = rows[shared + 1, 1] = u_minus(mid, sol) / mid
     nodes = [_node(*row, slope, slope) for row, slope in zip(rows.tolist(), du[seen].tolist())]
     if 0 < np.searchsorted(r, r_o) < len(r):  # the samples straddle r_o
         nodes.append(_node(r_o, vl, vr, -vl, -vr, True))

@@ -27,14 +27,14 @@ from vwave.series import (
 )
 from vwave.units import AtomSpec, derive_state
 from vwave.verify import (
+    SUITE_SAMPLES,
     SpaceTimeGrid,
-    make_residual_grid,
     ode_residual,
     pde_residual_free,
     u_minus_crossings,
 )
-from vwave.series import interior_zeros, u_plus
-from vwave.wronskian import tail_decay_rate, u_minus
+from vwave.series import interior_zeros
+from vwave.wronskian import make_radial_grid, sample_wave, tail_decay_rate, u_minus
 from vwave.verify import shooting_deviation
 
 
@@ -91,16 +91,17 @@ def test_criterion_03_series_termination():
             f"worst termination ratio {worst:.2e}")
 
 
-def test_criterion_04_ode_residuals(solutions, waves):
+def test_criterion_04_ode_residuals(solutions):
     t0 = time.perf_counter()
     worst_plus = worst_minus = 0.0
     reports = []
     for n in (1, 2, 3):
+        # the battery's one wave per state, on its lattice of 1000 points per r_o
         sol = solutions[n]
-        loci = interior_zeros(sol) + u_minus_crossings(find_nodes(waves[n]))
-        grid = make_residual_grid(sol.state, loci)
-        rep_p = ode_residual(u_plus(grid.samples, sol), sol.state, grid)
-        rep_m = ode_residual(u_minus(grid.samples, sol), sol.state, grid)
+        wave = sample_wave(sol, make_radial_grid(sol, samples=SUITE_SAMPLES))
+        loci = interior_zeros(sol) + u_minus_crossings(find_nodes(wave))
+        rep_p = ode_residual(wave.u_plus_vals, sol.state, wave.grid, loci)
+        rep_m = ode_residual(wave.u_minus, sol.state, wave.grid, loci)
         worst_plus = max(worst_plus, rep_p.max_rel_residual)
         worst_minus = max(worst_minus, rep_m.max_rel_residual)
         reports += [rep_p, rep_m]

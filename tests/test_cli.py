@@ -429,6 +429,15 @@ def test_common_r_max_is_the_last_tracked_radius(capsys):
     assert all(r <= payload["common_r_max"] for sl in payload["slices"] for r in sl["radii"])
 
 
+def test_states_that_share_no_radial_domain_exit_2(capsys):
+    # n = 1 is sampled on (0, 3] and n = 40 from 4.8 on: their spans do not meet
+    code = main(["superpose", "--states", "1,40", "--r-max", "1.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "waves share no radial domain" in captured.err
+
+
 def test_all_zero_weights_exit_2(capsys):
     code = main(["superpose", "--states", "1,2", "--weights", "0,0", "--t-samples", "2"])
     captured = capsys.readouterr()

@@ -159,6 +159,11 @@ def test_quantized_frequencies_rejects_zero_offset():
         quantized_frequencies(0.0, 3)
 
 
+def test_quantized_frequencies_rejects_no_branch():
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        quantized_frequencies(1.0, 0)
+
+
 def test_phase_offset_recovers_sine_branch():
     p = free_params(1.0)
     x, t = 0.37, 0.11

@@ -7,6 +7,7 @@ import pytest
 
 from vwave.nodes import (
     NodeKind,
+    _bisect_zero,
     common_tracking_grid,
     find_nodes,
     track_superposition_nodes,
@@ -171,6 +172,49 @@ def test_node_radii_do_not_depend_on_the_sample_count(z, n):
     assert len(want) == n  # n - 1 plain zeros and the surface at r_o
     for report in reports[:-1]:
         assert [(nd.radius, nd.kind) for nd in report.nodes] == want
+
+
+@pytest.mark.parametrize("samples,ns", [(1000, range(1, 77)), (150, [12])], ids=["1000", "150"])
+def test_plain_zero_values_have_opposite_signs(samples, ns):
+    # neighbouring zeros between the same two samples, as from n = 26 at 1000
+    # samples, are parted by R at their midpoint
+    for n in ns:
+        sol = build_series(AtomSpec(1, n))
+        report = find_nodes(sample_wave(sol, make_radial_grid(sol, samples=samples)))
+        plain = [nd for nd in report.nodes if nd.kind is NodeKind.PLAIN_ZERO]
+        assert len(plain) == n - 1
+        assert all(nd.value_left * nd.value_right < 0.0 for nd in plain), n
+
+
+def test_side_between_zeros_of_one_interval_is_r_at_their_midpoint():
+    # at 150 samples the zeros at 282.70 and 286.64 (n = 12) lie between the
+    # same two samples
+    sol = build_series(AtomSpec(1, 12))
+    wave = sample_wave(sol, make_radial_grid(sol, samples=150))
+    a, b = find_nodes(wave).nodes[-3:-1]
+    assert (round(a.radius, 2), round(b.radius, 2)) == (282.70, 286.64)
+    mid = 0.5 * (a.radius + b.radius)
+    assert a.value_right == b.value_left == float(u_minus(np.array([mid]), sol)[0] / mid)
+    # the outer sides stay those of the samples: R before a, and L_-/r_o after b
+    k = np.searchsorted(wave.grid.samples, a.radius)
+    assert a.value_left == wave.r_vals[k - 1]
+    assert b.value_right == wave.left_limit_at_ro / wave.state.r_o
+
+
+def test_tracking_grid_needs_a_wave():
+    with pytest.raises(ValueError, match="need at least one wave"):
+        common_tracking_grid([])
+
+
+def test_bisection_stops_at_an_exact_zero():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 1.0
+
+    assert _bisect_zero(f, 0.0, 2.0, 1e-12) == 1.0
+    assert calls == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("call", ["superpose", "track_superposition_nodes"])

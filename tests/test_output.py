@@ -30,6 +30,15 @@ def test_json_deterministic():
     assert dumps_json(obj) == dumps_json(dict(reversed(list(obj.items()))))
 
 
+def test_json_empty_object():
+    assert dumps_json({}) == "{}\n"
+
+
+def test_json_rejects_values_it_cannot_serialize():
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        dumps_json({"a": object()})
+
+
 def test_json_rejects_non_string_keys():
     with pytest.raises(TypeError):
         dumps_json({1: "a"})

@@ -1,6 +1,7 @@
 """Independent oracle machinery: residuals, shooting, route agreement."""
 
 import dataclasses
+import functools
 import math
 
 import mpmath
@@ -12,10 +13,11 @@ from vwave.nodes import NodeKind, find_nodes
 from vwave.series import build_series, interior_zeros, termination_ratio, u_plus
 from vwave.units import AtomSpec, derive_state
 from vwave.verify import (
+    SUITE_N_MAX,
+    SUITE_SAMPLES,
     SpaceTimeGrid,
     _taylor,
     _transfer,
-    make_residual_grid,
     ode_residual,
     pde_residual_free,
     route_agreement,
@@ -27,45 +29,61 @@ from vwave.verify import (
 from vwave.wronskian import RadialGrid, make_radial_grid, sample_wave, u_minus
 
 
-def _grid_for(sol, wave):
-    return make_residual_grid(
-        sol.state, interior_zeros(sol) + u_minus_crossings(find_nodes(wave))
-    )
+@functools.lru_cache(maxsize=None)
+def _battery_wave(z, n):
+    """The battery's one wave of state (Z, n) and the zero loci its residuals skip."""
+    sol = build_series(AtomSpec(z, n))
+    wave = sample_wave(sol, make_radial_grid(sol, samples=SUITE_SAMPLES))
+    return wave, interior_zeros(sol) + u_minus_crossings(find_nodes(wave))
 
 
-def test_u_plus_residual_small_and_fourth_order(solutions, waves):
-    sol = solutions[3]
-    grid = _grid_for(sol, waves[3])
-    rep = ode_residual(u_plus(grid.samples, sol), sol.state, grid)
-    assert rep.max_rel_residual < 1e-6
-    assert 3.7 <= rep.order_estimate <= 4.3
+def _residuals(z, n):
+    """ode_residual of u_+ and of u_- on the battery's wave of state (Z, n)."""
+    wave, loci = _battery_wave(z, n)
+    return (ode_residual(wave.u_plus_vals, wave.state, wave.grid, loci),
+            ode_residual(wave.u_minus, wave.state, wave.grid, loci))
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+def _check_battery_residuals(z, n):
+    # both branches pass their battery threshold, and each order is Numerov's
+    # fourth, except for u_+ at n = 1 and 2, whose residual is at the rounding floor
+    plus, minus = _residuals(z, n)
+    assert plus.max_rel_residual < 1e-6 and minus.max_rel_residual < 1e-4
+    if n <= 2:
+        assert math.isnan(plus.order_estimate)
+    else:
+        assert 3.7 <= plus.order_estimate <= 4.3
+    assert 3.7 <= minus.order_estimate <= 4.3
+
+
+def test_u_plus_residual_small_and_fourth_order():
+    for z in (1, 7, 392):
+        for n in range(1, SUITE_N_MAX + 1):
+            _check_battery_residuals(z, n)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
 def test_u_plus_residual_is_fourth_order_above_suite_n_max(n):
-    # above SUITE_N_MAX the u_+ residual is Numerov's own truncation, and stays
-    # under the battery's 1e-6
-    sol = build_series(AtomSpec(1, n))
-    wave = sample_wave(sol, make_radial_grid(sol))
-    grid = _grid_for(sol, wave)
-    rep = ode_residual(u_plus(grid.samples, sol), sol.state, grid)
-    assert rep.max_rel_residual < 1e-6
-    assert 3.7 <= rep.order_estimate <= 4.3
+    # SUITE_N_MAX's claim: above it, up to n = 12, every threshold-gated check
+    # passes on the battery's lattice at Z = 1, 7 and 392, and each residual is
+    # Numerov's own truncation
+    for z in (1, 7, 392):
+        _check_battery_residuals(z, n)
+        sol = build_series(AtomSpec(z, n))
+        assert shooting_deviation(sol, _battery_wave(z, n)[0]) < 1e-4
 
 
 @pytest.mark.parametrize("branch,n", [
     ("u_plus", 1), ("u_minus", 1), ("u_minus", 2), ("u_minus", 3),
 ])
-def test_ode_residual_order_is_nan_at_the_rounding_floor(solutions, waves, branch, n):
+def test_ode_residual_order_is_nan_at_the_rounding_floor(branch, n):
     # u_+ at n = 1 sits at the stencil's rounding floor, where halving the
     # density does not grow the residual by 2^4; u_- is truncation throughout
-    sol = solutions[n]
-    grid = _grid_for(sol, waves[n])
+    plus, minus = _residuals(1, n)
     if branch == "u_plus":
-        assert math.isnan(ode_residual(u_plus(grid.samples, sol), sol.state, grid).order_estimate)
+        assert math.isnan(plus.order_estimate)
     else:
-        rep = ode_residual(u_minus(grid.samples, sol), sol.state, grid)
-        assert 3.7 <= rep.order_estimate <= 4.3
+        assert 3.7 <= minus.order_estimate <= 4.3
 
 
 # (branch, n, lambda, eps): the smallest decade of eps at which the 3-point
@@ -81,85 +99,62 @@ _PERTURBATIONS = [
 
 
 @pytest.mark.parametrize("branch,n,lam,eps", _PERTURBATIONS)
-def test_residual_flags_what_the_three_point_stencil_flagged(solutions, waves, branch, n, lam,
-                                                             eps):
-    sol = solutions[n]
-    grid = _grid_for(sol, waves[n])
-    u, threshold = (u_plus, 1e-6) if branch == "u_plus" else (u_minus, 1e-4)
-    ripple = 1.0 + eps * np.sin(2.0 * np.pi * grid.samples / (lam * sol.state.r_o))
-    rep = ode_residual(u(grid.samples, sol) * ripple, sol.state, grid)
+def test_residual_flags_what_the_three_point_stencil_flagged(branch, n, lam, eps):
+    wave, loci = _battery_wave(1, n)
+    u, threshold = (wave.u_plus_vals, 1e-6) if branch == "u_plus" else (wave.u_minus, 1e-4)
+    ripple = 1.0 + eps * np.sin(2.0 * np.pi * wave.grid.samples / (lam * wave.state.r_o))
+    rep = ode_residual(u * ripple, wave.state, wave.grid, loci)
     assert rep.max_rel_residual > threshold
 
 
-def test_perturbed_solution_detected(solutions, waves):
-    sol = solutions[1]
-    grid = _grid_for(sol, waves[1])
-    clean = ode_residual(u_plus(grid.samples, sol), sol.state, grid)
-    noisy = ode_residual(u_plus(grid.samples, sol) + 1e-3 * grid.samples, sol.state, grid)
+def test_perturbed_solution_detected():
+    wave, loci = _battery_wave(1, 1)
+    u, r = wave.u_plus_vals, wave.grid.samples
+    clean = ode_residual(u, wave.state, wave.grid, loci)
+    noisy = ode_residual(u + 1e-3 * r, wave.state, wave.grid, loci)
     assert noisy.max_rel_residual > 1e3 * clean.max_rel_residual
 
 
 def test_residual_rejects_coarse_grid(solutions):
+    # 28 interior samples, of which those within 0.05*r_o of r_o = 2 are not read
     sol = solutions[1]
     grid = RadialGrid(samples=np.linspace(0.5, 5.0, 30), exclusion_zones=())
-    with pytest.raises(ValueError):
-        ode_residual(u_plus(grid.samples, sol), sol.state, grid)
+    with pytest.raises(ValueError, match="grid too coarse: the residual reads 27 samples"):
+        ode_residual(u_plus(grid.samples, sol), sol.state, grid, [])
 
 
 def test_residual_rejects_nonuniform_grid(solutions):
+    # 59 samples are read, and the stencil at 5.0 reaches to 5.5
     sol = solutions[1]
     samples = np.sort(np.concatenate([np.linspace(3.0, 5.0, 60), [5.5]]))
     grid = RadialGrid(samples=samples, exclusion_zones=())
-    with pytest.raises(ValueError):
-        ode_residual(u_plus(grid.samples, sol), sol.state, grid)
+    with pytest.raises(ValueError, match="grid must be uniform around each sample"):
+        ode_residual(u_plus(grid.samples, sol), sol.state, grid, [])
 
 
-def test_residual_refuses_values_not_on_the_grid(solutions, waves):
-    sol = solutions[1]
-    grid = _grid_for(sol, waves[1])
-    u = u_plus(grid.samples, sol)
+def test_residual_refuses_values_not_on_the_grid():
+    wave, loci = _battery_wave(1, 1)
+    u = wave.u_plus_vals
     for bad in (u[:-1], np.append(u, 0.0), u[:, None]):
         with pytest.raises(ValueError, match="but the grid has"):
-            ode_residual(bad, sol.state, grid)
-
-
-def _unique_grid(state, zero_loci):
-    """Reference residual grid: np.unique of every segment, with unclipped zones."""
-    r_o = state.r_o
-    zones = sorted([(0.95 * r_o, 1.05 * r_o)] + [(z - 0.05 * r_o, z + 0.05 * r_o)
-                                                  for z in zero_loci])
-    merged = [list(zones[0])]
-    for lo, hi in zones[1:]:
-        if lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    edges = [0.05 * r_o] + [x for zone in merged for x in zone] + [3.0 * r_o]
-    samples = [np.linspace(a, b, max(50, int(round((b - a) / r_o * 1000))))
-               for a, b in zip(edges[::2], edges[1::2])]
-    return np.unique(np.concatenate(samples)), tuple(map(tuple, merged))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 10, 30, 50])
-def test_residual_grid_concatenates_its_segments(n):
-    sol = build_series(AtomSpec(1, n))
-    wave = sample_wave(sol, make_radial_grid(sol))
-    loci = interior_zeros(sol) + u_minus_crossings(find_nodes(wave))
-    grid = make_residual_grid(sol.state, loci)
-    samples, zones = _unique_grid(sol.state, loci)
-    assert np.array_equal(grid.samples, samples)
-    assert grid.exclusion_zones == zones
+            ode_residual(bad, wave.state, wave.grid, loci)
 
 
 @pytest.mark.parametrize("n", [55, 60, 76])
 def test_residual_grid_refuses_zones_that_cover_the_left_side(n):
-    # the 0.05*r_o zones around neighbouring zeros merge into one that reaches
-    # below the grid's start, so no segment is left of r_o
-    sol = build_series(AtomSpec(1, n))
-    wave = sample_wave(sol, make_radial_grid(sol))
-    loci = interior_zeros(sol) + u_minus_crossings(find_nodes(wave))
-    with pytest.raises(ValueError, match=rf"no segment left of r_o = {sol.state.r_o}: .* cover \["):
-        make_residual_grid(sol.state, loci)
+    # the 0.05*r_o zones around neighbouring zeros overlap all the way down to
+    # 0.05*r_o, so no sample left of r_o is read; from n = 55 at Z = 1
+    wave, loci = _battery_wave(1, n)
+    r_o = wave.state.r_o
+    with pytest.raises(ValueError, match=rf"reads no sample left of r_o = {r_o}: .* cover \["):
+        ode_residual(wave.u_minus, wave.state, wave.grid, loci)
+
+
+def test_residual_reads_the_left_side_up_to_n_54():
+    # the refusal is the first n whose zones leave no sample left of r_o: n = 54
+    # still has one, and its residual is read
+    wave, loci = _battery_wave(1, 54)
+    assert math.isfinite(ode_residual(wave.u_minus, wave.state, wave.grid, loci).max_rel_residual)
 
 
 def test_pde_residual_free_wave():
@@ -336,17 +331,17 @@ def test_run_suite_reports_what_its_checks_compute(z):
     }
     for n in (1, 2, 3):
         sol = build_series(AtomSpec(z, n))
-        wave = sample_wave(sol, make_radial_grid(sol))
+        wave = sample_wave(sol, make_radial_grid(sol, samples=SUITE_SAMPLES))
         report = find_nodes(wave)
-        grid = make_residual_grid(sol.state, interior_zeros(sol) + u_minus_crossings(report))
+        loci = interior_zeros(sol) + u_minus_crossings(report)
         r_o = sol.state.r_o
         left, right = u_minus(np.array([1.0 - 1e-4, 1.0 + 1e-4]) * r_o, sol)
         surfaces = [nd.radius for nd in report.nodes if nd.kind is NodeKind.TRAJECTORY_SURFACE]
         expected |= {
             f"u_plus_residual_n{n}": (
-                ode_residual(u_plus(grid.samples, sol), sol.state, grid).max_rel_residual, True),
+                ode_residual(wave.u_plus_vals, sol.state, wave.grid, loci).max_rel_residual, True),
             f"u_minus_residual_n{n}": (
-                ode_residual(u_minus(grid.samples, sol), sol.state, grid).max_rel_residual, True),
+                ode_residual(wave.u_minus, sol.state, wave.grid, loci).max_rel_residual, True),
             f"sign_change_at_ro_n{n}": (0.0, left * right < 0.0),
             f"shooting_vs_wronskian_n{n}": (shooting_deviation(sol, wave), True),
             f"trajectory_surface_n{n}": (
@@ -358,6 +353,22 @@ def test_run_suite_reports_what_its_checks_compute(z):
         value, ok = expected[chk["name"]]
         assert chk["value"] == value, chk["name"]
         assert chk["passed"] == (ok and value <= chk["threshold"]), chk["name"]
+
+
+def test_run_suite_samples_each_state_once(monkeypatch):
+    # one wave per state feeds every check; u_- is evaluated apart from it only
+    # at the two sign probes either side of r_o
+    calls = {"sample_wave": [], "u_minus": []}
+    for name in calls:
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *a, real=real, log=calls[name]:
+                            log.append(a) or real(*a))
+    run_suite(3, 3)
+    assert [sol.atom.n for sol, _ in calls["sample_wave"]] == [1, 2, 3]
+    for sol, grid in calls["sample_wave"]:
+        assert np.array_equal(grid.samples, make_radial_grid(sol, samples=SUITE_SAMPLES).samples)
+    assert [np.shape(r) for r, _ in calls["u_minus"]] == [(2,)] * 3
+    assert not hasattr(verify, "u_plus")
 
 
 def test_run_suite_passes():
